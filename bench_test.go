@@ -271,33 +271,6 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeThroughput races the two decoder implementations on the
-// same compressed image: "reference" is the bit-at-a-time tag walker,
-// "fast" the table-driven batch decoder that serves production decodes.
-// The MB/s ratio between the two sub-benchmarks is the headline number
-// for the fast decoder (BENCH.md tracks it across PRs).
-func BenchmarkDecodeThroughput(b *testing.B) {
-	bench, err := suite.Bench("go")
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(mode core.DecodeMode) func(*testing.B) {
-		return func(b *testing.B) {
-			prev := core.SetDecodeMode(mode)
-			defer core.SetDecodeMode(prev)
-			b.SetBytes(int64(bench.Image.TextBytes()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.Comp.Decompress(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("reference", run(core.DecodeReference))
-	b.Run("fast", run(core.DecodeFast))
-}
-
 // BenchmarkDecodePooled measures the serve path's steady state: decoding
 // whole programs into sync.Pool-recycled buffers via AppendDecompress.
 // "cold" allocates a fresh destination per decode (what Decompress

@@ -16,13 +16,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -50,10 +50,6 @@ func (e usageError) Error() string { return string(e) }
 // errRegression distinguishes "benchmarks got slower" (exit 1, report
 // already printed) from operational failures.
 var errRegression = errors.New("benchmark regression against baseline")
-
-// benchPattern matches the microbenchmarks a trajectory folds in; the
-// compare runs the same set so the name intersection is maximal.
-const benchPattern = "CompressThroughput|DecompressThroughput|DecodeThroughput|DecodePooled|ServerCompress"
 
 // anchors are tried in order as the machine-speed normalizer. The
 // reference decoder is first: single-threaded, allocation-free, and by
@@ -105,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
-		if cur, err = runBenchmarks(stderr, *benchtime); err != nil {
+		if cur, err = loadgen.RunMicroBench(context.Background(), stderr, *benchtime); err != nil {
 			return err
 		}
 	}
@@ -164,18 +160,6 @@ func loadBaseline(path string) (map[string]loadgen.MicroBench, error) {
 		out[mb.Name] = mb
 	}
 	return out, nil
-}
-
-// runBenchmarks executes the microbenchmark set in the current tree.
-func runBenchmarks(stderr io.Writer, benchtime string) ([]loadgen.MicroBench, error) {
-	cmd := exec.Command("go", "test", "-run", "xxx",
-		"-bench", benchPattern, "-benchmem", "-benchtime", benchtime, ".")
-	cmd.Stderr = stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go test -bench: %w", err)
-	}
-	return loadgen.ParseGoBench(strings.NewReader(string(out)))
 }
 
 // compare renders the per-benchmark verdicts and reports whether any

@@ -42,7 +42,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"runtime"
 	"strings"
@@ -68,11 +67,6 @@ func main() {
 type usageError string
 
 func (e usageError) Error() string { return string(e) }
-
-// microBenchPattern selects the codec microbenchmarks a trajectory folds
-// in: encode and decode throughput, the reference-vs-fast decoder split
-// and the pooled serve-path decode, plus the served path cold and warm.
-const microBenchPattern = "CompressThroughput|DecompressThroughput|DecodeThroughput|DecodePooled|ServerCompress"
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cpackbench", flag.ContinueOnError)
@@ -201,8 +195,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if *micro {
 			fmt.Fprintf(stderr, "cpackbench: folding in codec microbenchmarks (-bench '%s' -benchtime %s)\n",
-				microBenchPattern, *benchtime)
-			mb, err := runMicroBench(ctx, *benchtime)
+				loadgen.MicroBenchPattern, *benchtime)
+			mb, err := loadgen.RunMicroBench(ctx, stderr, *benchtime)
 			if err != nil {
 				return fmt.Errorf("microbenchmarks: %w", err)
 			}
@@ -285,20 +279,6 @@ func selfServe() (stop func(), url string, err error) {
 		srv.Close()
 	}
 	return stop, "http://" + ln.Addr().String(), nil
-}
-
-// runMicroBench shells out to `go test -bench` in the module root and
-// parses the standard benchmark output, so the trajectory reuses the
-// exact benchmarks CI already runs rather than reimplementing them.
-func runMicroBench(ctx context.Context, benchtime string) ([]loadgen.MicroBench, error) {
-	cmd := exec.CommandContext(ctx, "go", "test", "-run", "xxx",
-		"-bench", microBenchPattern, "-benchmem", "-benchtime", benchtime, ".")
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go test -bench: %w", err)
-	}
-	return loadgen.ParseGoBench(strings.NewReader(string(out)))
 }
 
 func writeJSON(w io.Writer, v any) error {

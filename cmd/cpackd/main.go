@@ -67,6 +67,7 @@ import (
 	"syscall"
 	"time"
 
+	"codepack/internal/linecfg"
 	"codepack/internal/obs"
 	"codepack/internal/peer"
 	"codepack/internal/server"
@@ -153,7 +154,7 @@ func run(args []string) error {
 	// bounded on-disk profile ring.
 	var sloEng *obs.Engine
 	if *slosFile != "" {
-		snap, err := obs.LoadFile(*slosFile)
+		snap, err := linecfg.Load(*slosFile, obs.ParseConfig)
 		if err != nil {
 			return fmt.Errorf("load -slos: %w", err)
 		}
@@ -176,7 +177,7 @@ func run(args []string) error {
 		snap := tenant.OpenSnapshot()
 		if *tenantsFile != "" {
 			var err error
-			if snap, err = tenant.LoadFile(*tenantsFile); err != nil {
+			if snap, err = linecfg.Load(*tenantsFile, tenant.ParseConfig); err != nil {
 				return nil, err
 			}
 		}
@@ -277,7 +278,7 @@ func run(args []string) error {
 					}
 				}
 				if sloEng != nil {
-					snap, err := obs.LoadFile(*slosFile)
+					snap, err := linecfg.Load(*slosFile, obs.ParseConfig)
 					if err != nil {
 						log.Warn("slo config reload failed; keeping previous config", "err", err)
 					} else {

@@ -34,28 +34,3 @@ func (w *bitWriter) align() uint {
 
 // bytes returns the byte-aligned buffer.
 func (w *bitWriter) bytes() []byte { return w.buf }
-
-// bitReader consumes an MSB-first bitstream.
-type bitReader struct {
-	buf []byte
-	pos uint // bit position
-}
-
-// readBits reads n bits MSB-first. Reading past the end returns zero bits;
-// callers detect truncation via Remaining.
-func (r *bitReader) readBits(n uint) uint32 {
-	var v uint32
-	for i := uint(0); i < n; i++ {
-		v <<= 1
-		if r.pos < uint(len(r.buf))*8 {
-			if r.buf[r.pos/8]&(0x80>>(r.pos%8)) != 0 {
-				v |= 1
-			}
-		}
-		r.pos++
-	}
-	return v
-}
-
-// remaining returns the number of unread bits.
-func (r *bitReader) remaining() int { return len(r.buf)*8 - int(r.pos) }

@@ -205,15 +205,7 @@ func (c *Compressed) encodeBlock(b int, words []isa.Word) error {
 	c.stats.PadBits += int(pad)
 	for i := range words {
 		for _, cl := range classes[i] {
-			if cl == classRaw {
-				c.stats.RawTagBits += int(classTagBits[classRaw])
-				c.stats.RawBits += 16
-				c.stats.RawHalfwords++
-			} else {
-				c.stats.TagBits += int(classTagBits[cl])
-				c.stats.IndexBits += int(classIndexBits[cl])
-				c.stats.ClassCounts[cl]++
-			}
+			c.stats.addCodewords(cl, 1)
 		}
 	}
 	return nil
@@ -261,91 +253,6 @@ func (c *Compressed) LookupBlock(b int) (start uint32, raw bool, err error) {
 		return e.Block0Start, e.Raw0, nil
 	}
 	return e.Block0Start + e.Block0Len, e.Raw1, nil
-}
-
-// DecodeBlock decompresses block b into out with the decoder selected by
-// the current DecodeMode (the table-driven fast path by default; see
-// fastdecode.go).
-func (c *Compressed) DecodeBlock(b int, out *[BlockInstrs]isa.Word) error {
-	if CurrentDecodeMode() == DecodeReference {
-		return c.DecodeBlockReference(b, out)
-	}
-	return c.fastDecode(b, out, nil)
-}
-
-// DecodeBlockReference decompresses block b with the bit-at-a-time tag
-// walker, regardless of the current DecodeMode. It is the correctness
-// oracle the fast decoder is differentially tested against, and the
-// implementation closest to what the decompression hardware does.
-func (c *Compressed) DecodeBlockReference(b int, out *[BlockInstrs]isa.Word) error {
-	start, raw, err := c.LookupBlock(b)
-	if err != nil {
-		return err
-	}
-	if raw {
-		if int(start)+BlockNativeBytes > len(c.Region) {
-			return fmt.Errorf("core: raw block %d extends past region", b)
-		}
-		for i := range out {
-			o := int(start) + i*4
-			out[i] = uint32(c.Region[o])<<24 | uint32(c.Region[o+1])<<16 |
-				uint32(c.Region[o+2])<<8 | uint32(c.Region[o+3])
-		}
-		return nil
-	}
-	end := int(start) + int(c.blocks[b].size)
-	if end > len(c.Region) {
-		return fmt.Errorf("core: block %d extends past region", b)
-	}
-	r := bitReader{buf: c.Region[start:end]}
-	for i := range out {
-		hi, err := decodeHalf(&r, c.High)
-		if err != nil {
-			return fmt.Errorf("core: block %d instr %d high: %w", b, i, err)
-		}
-		lo, err := decodeHalf(&r, c.Low)
-		if err != nil {
-			return fmt.Errorf("core: block %d instr %d low: %w", b, i, err)
-		}
-		out[i] = uint32(hi)<<16 | uint32(lo)
-	}
-	return nil
-}
-
-func decodeHalf(r *bitReader, d *Dict) (uint16, error) {
-	if r.remaining() < 2 {
-		return 0, fmt.Errorf("truncated codeword")
-	}
-	var cl int
-	switch r.readBits(2) {
-	case 0b00:
-		cl = class0
-	case 0b01:
-		cl = class1
-	case 0b10:
-		cl = class2
-	default:
-		if r.readBits(1) == 0 {
-			cl = class3
-		} else {
-			cl = classRaw
-		}
-	}
-	if cl == classRaw {
-		if r.remaining() < 16 {
-			return 0, fmt.Errorf("truncated raw halfword")
-		}
-		return uint16(r.readBits(16)), nil
-	}
-	if r.remaining() < int(classIndexBits[cl]) {
-		return 0, fmt.Errorf("truncated index")
-	}
-	idx := int(r.readBits(classIndexBits[cl]))
-	v, err := d.Value(classBase[cl] + idx)
-	if err != nil {
-		return 0, fmt.Errorf("dictionary miss: %w", err)
-	}
-	return v, nil
 }
 
 // Decompress reconstructs the full native text section (without padding).

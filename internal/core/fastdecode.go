@@ -1,7 +1,8 @@
 package core
 
-// Table-driven block decoder: the serve path's fast alternative to the
-// bit-at-a-time tag walker in compress.go.
+// Table-driven block decoder: the one decoder behind every decode entry
+// point (DecodeBlock, Decompress, AppendDecompress, DecodeAt) and behind
+// the rescan that rebuilds an unmarshaled image's block metadata.
 //
 // The CodePack geometry makes a one-byte dispatch table sufficient for the
 // dominant codewords: every class-0/1/2 codeword (2, 5 and 8 bits) fits
@@ -19,46 +20,16 @@ package core
 // behind an atomic pointer; concurrent first decodes may both build, which
 // is harmless because the build is deterministic.
 //
-// The reference walker stays in compress.go as the correctness oracle:
-// FuzzDecodeEquivalence and the golden corpus hold the two implementations
-// word-for-word identical, and rebuildBlockMeta still rescans unmarshaled
-// images with the walker so every accepted image has been validated by
-// both geometries. See DESIGN.md "Two-decoder architecture".
+// The bit-at-a-time reference walker lives in the package tests as the
+// correctness oracle: FuzzDecodeEquivalence, FuzzUnmarshalCompressed and
+// the golden corpus hold this decoder word-for-word and bit-for-bit
+// identical to it. See DESIGN.md "One production decoder".
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"codepack/internal/isa"
 )
-
-// DecodeMode selects which decoder implementation serves DecodeBlock,
-// Decompress, AppendDecompress and DecodeAt.
-type DecodeMode int32
-
-const (
-	// DecodeFast is the default: batched table-driven decoding.
-	DecodeFast DecodeMode = iota
-	// DecodeReference forces the bit-at-a-time tag walker everywhere —
-	// the escape hatch for diffing a suspect fast-path result in
-	// production, and the oracle half of the differential tests.
-	DecodeReference
-)
-
-// decodeMode is the process-wide decoder selection. It exists as an
-// escape hatch, not a tuning knob, so it is deliberately global rather
-// than threaded through every call site.
-var decodeMode atomic.Int32
-
-// SetDecodeMode selects the decoder implementation behind the public
-// decode entry points and returns the previous mode.
-func SetDecodeMode(m DecodeMode) DecodeMode {
-	return DecodeMode(decodeMode.Swap(int32(m)))
-}
-
-// CurrentDecodeMode reports the decoder implementation currently serving
-// the public decode entry points.
-func CurrentDecodeMode() DecodeMode { return DecodeMode(decodeMode.Load()) }
 
 // fastEntry kinds. fastVal is the branch-predictable common case: the
 // leading byte alone determined the decoded halfword.
@@ -135,26 +106,31 @@ func (c *Compressed) fastTables() *fastTabs {
 	return c.fast.Load()
 }
 
-// DecodeBlockFast decompresses block b with the table-driven decoder,
-// regardless of the current DecodeMode.
-func (c *Compressed) DecodeBlockFast(b int, out *[BlockInstrs]isa.Word) error {
-	return c.fastDecode(b, out, nil)
+// DecodeBlock decompresses block b into out.
+func (c *Compressed) DecodeBlock(b int, out *[BlockInstrs]isa.Word) error {
+	return c.decodeBlock(b, out, nil)
 }
 
-// DecodeBlockPositions is DecodeBlockFast, additionally reporting the
+// DecodeBlockPositions is DecodeBlock, additionally reporting the
 // cumulative bit position consumed after each instruction's codeword
 // pair. Positions must agree with the encoder-recorded cumBits behind
 // InstrReadyBytes — the byte-arrival contract the decomp timing model
-// builds its fetch/decode overlap on; the property tests hold the fast
+// builds its fetch/decode overlap on; the property tests hold the
 // decoder to it.
 func (c *Compressed) DecodeBlockPositions(b int, out *[BlockInstrs]isa.Word, pos *[BlockInstrs]uint16) error {
-	return c.fastDecode(b, out, pos)
+	var ends [2 * BlockInstrs]uint16
+	if err := c.decodeBlock(b, out, &ends); err != nil {
+		return err
+	}
+	for i := range pos {
+		pos[i] = ends[2*i+1]
+	}
+	return nil
 }
 
-// fastDecode is the hot path: one pass over the block's codeword stream
-// with a 64-bit accumulator, dispatching each halfword through the
-// leading-byte table. It allocates nothing.
-func (c *Compressed) fastDecode(b int, out *[BlockInstrs]isa.Word, pos *[BlockInstrs]uint16) error {
+// decodeBlock resolves block b through the index table and decodes it;
+// ends, if non-nil, receives the bit position after every codeword.
+func (c *Compressed) decodeBlock(b int, out *[BlockInstrs]isa.Word, ends *[2 * BlockInstrs]uint16) error {
 	start, raw, err := c.LookupBlock(b)
 	if err != nil {
 		return err
@@ -167,8 +143,8 @@ func (c *Compressed) fastDecode(b int, out *[BlockInstrs]isa.Word, pos *[BlockIn
 			o := int(start) + i*4
 			out[i] = uint32(c.Region[o])<<24 | uint32(c.Region[o+1])<<16 |
 				uint32(c.Region[o+2])<<8 | uint32(c.Region[o+3])
-			if pos != nil {
-				pos[i] = uint16((i + 1) * 32)
+			if ends != nil {
+				ends[2*i], ends[2*i+1] = uint16(i*32+16), uint16((i+1)*32)
 			}
 		}
 		return nil
@@ -177,9 +153,15 @@ func (c *Compressed) fastDecode(b int, out *[BlockInstrs]isa.Word, pos *[BlockIn
 	if end > len(c.Region) {
 		return fmt.Errorf("core: block %d extends past region", b)
 	}
-	buf := c.Region[start:end]
-	tabs := c.fastTables()
+	return c.fastTables().decode(b, c.Region[start:end], out, ends)
+}
 
+// decode is the block-decode loop: one pass over buf, the codeword
+// stream of block b, with a 64-bit accumulator, dispatching each
+// halfword through the leading-byte table. If ends is non-nil it
+// receives the bit position after each codeword (high, low alternating).
+// It allocates nothing.
+func (tabs *fastTabs) decode(b int, buf []byte, out *[BlockInstrs]isa.Word, ends *[2 * BlockInstrs]uint16) error {
 	var (
 		acc      uint64 // next stream bits in the low accBits bits, MSB first
 		accBits  uint
@@ -201,7 +183,7 @@ func (c *Compressed) fastDecode(b int, out *[BlockInstrs]isa.Word, pos *[BlockIn
 				return fastDecodeErr(b, i, half, "truncated codeword")
 			}
 			// Peek the longest possible codeword (19 bits), zero-padded
-			// past the end of the block like the reference reader.
+			// past the end of the block.
 			var peek uint32
 			if accBits >= RawCodewordBits {
 				peek = uint32(acc>>(accBits-RawCodewordBits)) & (1<<RawCodewordBits - 1)
@@ -228,20 +210,19 @@ func (c *Compressed) fastDecode(b int, out *[BlockInstrs]isa.Word, pos *[BlockIn
 			}
 			accBits -= n
 			consumed += n
+			if ends != nil {
+				ends[2*i+half] = uint16(consumed)
+			}
 			word = word<<16 | uint32(v)
 			tab = &tabs.low
 		}
 		out[i] = word
-		if pos != nil {
-			pos[i] = uint16(consumed)
-		}
 	}
 	return nil
 }
 
-// fastDecodeErr formats decode failures like the reference walker's
-// block/instr/half wrapping so operators see the same shape from either
-// decoder.
+// fastDecodeErr formats a decode failure with the block, instruction and
+// halfword it hit.
 func fastDecodeErr(b, i, half int, msg string) error {
 	side := "high"
 	if half == 1 {
@@ -255,6 +236,9 @@ func fastDecodeErr(b, i, half int, msg string) error {
 // pre-sized dst it performs zero allocations, which is what the serve
 // path's buffer pool relies on for steady-state decode.
 func (c *Compressed) AppendDecompress(dst []isa.Word) ([]isa.Word, error) {
+	if err := c.checkNumInstr(); err != nil {
+		return nil, err
+	}
 	n := len(dst)
 	need := n + len(c.blocks)*BlockInstrs
 	if cap(dst) < need {
@@ -263,18 +247,20 @@ func (c *Compressed) AppendDecompress(dst []isa.Word) ([]isa.Word, error) {
 		dst = grown
 	}
 	dst = dst[:need]
-	ref := CurrentDecodeMode() == DecodeReference
 	for b := range c.blocks {
-		out := (*[BlockInstrs]isa.Word)(dst[n+b*BlockInstrs:])
-		var err error
-		if ref {
-			err = c.DecodeBlockReference(b, out)
-		} else {
-			err = c.fastDecode(b, out, nil)
-		}
-		if err != nil {
+		if err := c.DecodeBlock(b, (*[BlockInstrs]isa.Word)(dst[n+b*BlockInstrs:])); err != nil {
 			return nil, err
 		}
 	}
 	return dst[:n+c.NumInstr], nil
+}
+
+// checkNumInstr rejects an instruction count the blocks cannot hold: an
+// unmarshaled header states NumInstr independently of the index table.
+func (c *Compressed) checkNumInstr() error {
+	if c.NumInstr > len(c.blocks)*BlockInstrs {
+		return fmt.Errorf("core: %d instructions, but %d blocks hold %d",
+			c.NumInstr, len(c.blocks), len(c.blocks)*BlockInstrs)
+	}
+	return nil
 }

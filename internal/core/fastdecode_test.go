@@ -51,15 +51,11 @@ func rawishText(rng *rand.Rand, n int) []isa.Word {
 // decompressReference decodes the whole image with the oracle walker.
 func decompressReference(t *testing.T, c *Compressed) []isa.Word {
 	t.Helper()
-	out := make([]isa.Word, 0, c.NumBlocks()*BlockInstrs)
-	var blk [BlockInstrs]isa.Word
-	for b := 0; b < c.NumBlocks(); b++ {
-		if err := c.DecodeBlockReference(b, &blk); err != nil {
-			t.Fatalf("reference block %d: %v", b, err)
-		}
-		out = append(out, blk[:]...)
+	out, err := c.DecompressReference()
+	if err != nil {
+		t.Fatalf("reference decode: %v", err)
 	}
-	return out[:c.NumInstr]
+	return out
 }
 
 // TestFastDecodeMatchesReference holds the fast decoder word-for-word
@@ -75,7 +71,7 @@ func TestFastDecodeMatchesReference(t *testing.T) {
 				t.Fatalf("n=%d gen=%d: %v", n, gi, err)
 			}
 			want := decompressReference(t, c)
-			got, err := c.Decompress() // fast by default
+			got, err := c.Decompress()
 			if err != nil {
 				t.Fatalf("n=%d gen=%d fast: %v", n, gi, err)
 			}
@@ -93,7 +89,7 @@ func TestFastDecodeMatchesReference(t *testing.T) {
 				if err := c.DecodeBlockReference(b, &ref); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.DecodeBlockFast(b, &fast); err != nil {
+				if err := c.DecodeBlock(b, &fast); err != nil {
 					t.Fatal(err)
 				}
 				if ref != fast {
@@ -138,40 +134,46 @@ func TestFastDecodeConsumedBitsMatchInstrReadyBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeModeEscapeHatch proves the mode switch reroutes the public
-// entry points, and that both routes agree.
-func TestDecodeModeEscapeHatch(t *testing.T) {
-	if CurrentDecodeMode() != DecodeFast {
-		t.Fatalf("default mode = %d, want DecodeFast", CurrentDecodeMode())
-	}
-	c, err := CompressWords("mode", isa.TextBase, classText(rand.New(rand.NewSource(3)), 500))
+// TestPublicDecodeEntryPointsMatchReference checks every public decode
+// entry point — Decompress, AppendDecompress, DecodeBlock and DecodeAt —
+// against the oracle walker on one image.
+func TestPublicDecodeEntryPointsMatchReference(t *testing.T) {
+	c, err := CompressWords("entry", isa.TextBase, classText(rand.New(rand.NewSource(3)), 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := c.Decompress()
+	ref := decompressReference(t, c)
+	got, err := c.Decompress()
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetDecodeMode(DecodeReference)
-	defer SetDecodeMode(prev)
-	if prev != DecodeFast {
-		t.Fatalf("SetDecodeMode returned %d, want previous DecodeFast", prev)
-	}
-	ref, err := c.Decompress()
+	app, err := c.AppendDecompress(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(got) != len(ref) || len(app) != len(ref) {
+		t.Fatalf("Decompress %d / AppendDecompress %d words, reference %d", len(got), len(app), len(ref))
+	}
+	var blk [BlockInstrs]isa.Word
 	for i := range ref {
-		if ref[i] != fast[i] {
-			t.Fatalf("word %d: reference %#x, fast %#x", i, ref[i], fast[i])
+		if got[i] != ref[i] || app[i] != ref[i] {
+			t.Fatalf("word %d: Decompress %#x, AppendDecompress %#x, reference %#x", i, got[i], app[i], ref[i])
 		}
-	}
-	at, err := c.DecodeAt(isa.TextBase + 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at != ref[1] {
-		t.Fatalf("DecodeAt under reference mode = %#x, want %#x", at, ref[1])
+		if i%BlockInstrs == 0 {
+			if err := c.DecodeBlock(i/BlockInstrs, &blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if blk[i%BlockInstrs] != ref[i] {
+			t.Fatalf("DecodeBlock word %d = %#x, reference %#x", i, blk[i%BlockInstrs], ref[i])
+		}
+		at, err := c.DecodeAt(isa.TextBase + uint32(4*i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at != ref[i] {
+			t.Fatalf("DecodeAt word %d = %#x, reference %#x", i, at, ref[i])
+		}
 	}
 }
 
@@ -227,7 +229,7 @@ func TestFastDecodeTruncationAndMiss(t *testing.T) {
 	var out [BlockInstrs]isa.Word
 	sawFastErr, sawRefErr := false, false
 	for b := 0; b < c.NumBlocks(); b++ {
-		errFast := c.DecodeBlockFast(b, &out)
+		errFast := c.DecodeBlock(b, &out)
 		errRef := c.DecodeBlockReference(b, &out)
 		if (errFast == nil) != (errRef == nil) {
 			t.Fatalf("block %d: fast err=%v, reference err=%v", b, errFast, errRef)
@@ -258,7 +260,7 @@ func TestFastDecodeTruncationAndMiss(t *testing.T) {
 		if raw {
 			continue
 		}
-		errFast := missC.DecodeBlockFast(b, &out)
+		errFast := missC.DecodeBlock(b, &out)
 		errRef := missC.DecodeBlockReference(b, &out)
 		if (errFast == nil) != (errRef == nil) {
 			t.Fatalf("block %d: fast err=%v, reference err=%v", b, errFast, errRef)

@@ -8,8 +8,11 @@ import (
 )
 
 // FuzzUnmarshalCompressed feeds arbitrary bytes to the compressed-image
-// parser: it must reject or accept them without panicking, and anything it
-// accepts must decompress without panicking.
+// parser: it must reject or accept them without panicking, it must accept
+// exactly when a rescan with the reference walker accepts, an accepted
+// image's block extents and byte-arrival tables must equal the reference
+// rescan's, and anything it accepts must decompress like the reference
+// walker decompresses it.
 func FuzzUnmarshalCompressed(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	good, err := CompressWords("seed", isa.TextBase, synthText(rng, 128))
@@ -19,12 +22,32 @@ func FuzzUnmarshalCompressed(f *testing.F) {
 	f.Add(good.Marshal())
 	f.Add([]byte{})
 	f.Add(make([]byte, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := UnmarshalCompressed("fuzz", data)
+	for _, text := range [][]isa.Word{classText(rng, 96), rawishText(rng, 96)} {
+		c, err := CompressWords("seed", isa.TextBase, text)
 		if err != nil {
+			f.Fatal(err)
+		}
+		blob := c.Marshal()
+		f.Add(blob)
+		blob = append([]byte(nil), blob...)
+		blob[len(blob)-len(c.Region)/2] ^= 0x5A // corrupt mid-region
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := checkRescanMatchesReference(t, data)
+		if c == nil {
 			return
 		}
-		_, _ = c.Decompress()
+		got, err := c.Decompress()
+		want, refErr := c.DecompressReference()
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Decompress err=%v, reference err=%v", err, refErr)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("word %d: %#x, reference %#x", i, got[i], want[i])
+			}
+		}
 	})
 }
 
@@ -54,7 +77,7 @@ func FuzzDecodeCorruptRegion(f *testing.F) {
 		for b := 0; b < c.NumBlocks(); b++ {
 			// Both decoders must survive corruption; when both accept a
 			// block they must still agree word for word.
-			errFast := c.DecodeBlockFast(b, &out)
+			errFast := c.DecodeBlock(b, &out)
 			errRef := c.DecodeBlockReference(b, &ref)
 			if errFast == nil && errRef == nil && out != ref {
 				t.Fatalf("block %d of corrupted image: fast %x, reference %x", b, out, ref)
@@ -68,7 +91,7 @@ func FuzzDecodeCorruptRegion(f *testing.F) {
 // tag walker across every decode entry point: whole-image Decompress,
 // per-block DecodeBlock (including raw and padded tail blocks), and
 // address-wise DecodeAt. This is the CI-enforced invariant that lets the
-// serve path run the fast decoder by default.
+// table-driven decoder be the only one in production code.
 func FuzzDecodeEquivalence(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	seed := func(text []isa.Word) {
@@ -132,7 +155,7 @@ func FuzzDecodeEquivalence(f *testing.F) {
 			if err := c.DecodeBlockReference(b, &refBlk); err != nil {
 				t.Fatalf("reference block %d: %v", b, err)
 			}
-			// The positions variant IS the fast path, plus the
+			// The positions variant is the production decoder plus the
 			// byte-arrival contract: consumed bits == encoder cumBits.
 			if err := c.DecodeBlockPositions(b, &fastBlk, &pos); err != nil {
 				t.Fatalf("fast block %d: %v", b, err)
@@ -156,28 +179,15 @@ func FuzzDecodeEquivalence(f *testing.F) {
 				}
 			}
 		}
-		// Address-wise: DecodeAt under both modes on a sample of addresses.
-		prev := SetDecodeMode(DecodeReference)
-		defer SetDecodeMode(prev)
+		// Address-wise: DecodeAt on a sample of addresses.
 		for _, idx := range []int{0, n / 2, n - 1} {
 			addr := isa.TextBase + uint32(4*idx)
-			wRef, err := c.DecodeAt(addr)
+			w, err := c.DecodeAt(addr)
 			if err != nil {
-				t.Fatalf("reference DecodeAt %#x: %v", addr, err)
+				t.Fatalf("DecodeAt %#x: %v", addr, err)
 			}
-			if wRef != text[idx] {
-				t.Fatalf("reference DecodeAt %#x = %#x, want %#x", addr, wRef, text[idx])
-			}
-		}
-		SetDecodeMode(DecodeFast)
-		for _, idx := range []int{0, n / 2, n - 1} {
-			addr := isa.TextBase + uint32(4*idx)
-			wFast, err := c.DecodeAt(addr)
-			if err != nil {
-				t.Fatalf("fast DecodeAt %#x: %v", addr, err)
-			}
-			if wFast != text[idx] {
-				t.Fatalf("fast DecodeAt %#x = %#x, want %#x", addr, wFast, text[idx])
+			if w != text[idx] {
+				t.Fatalf("DecodeAt %#x = %#x, want %#x", addr, w, text[idx])
 			}
 		}
 	})

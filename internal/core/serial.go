@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+
+	"codepack/internal/isa"
 )
 
 // On-disk format of a compressed program (the cpack utility's output):
@@ -34,10 +36,23 @@ func (c *Compressed) Marshal() []byte {
 }
 
 // UnmarshalCompressed parses a serialized compressed program and
-// reconstructs the per-block metadata (byte-arrival tables) by re-scanning
-// the codeword stream, so the result is usable both for decompression and
-// for timing simulation.
+// reconstructs the per-block metadata (byte-arrival tables) and the
+// composition statistics by rescanning the codeword stream, so the result
+// is usable both for decompression and for timing simulation.
 func UnmarshalCompressed(name string, b []byte) (*Compressed, error) {
+	c, err := parseCompressed(name, b)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.rescan(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// parseCompressed decodes the header, dictionaries, index table and
+// region of a serialized image, leaving the block metadata unbuilt.
+func parseCompressed(name string, b []byte) (*Compressed, error) {
 	if len(b) < 28 || binary.LittleEndian.Uint32(b) != compMagic {
 		return nil, fmt.Errorf("core: bad compressed image header")
 	}
@@ -75,72 +90,81 @@ func UnmarshalCompressed(name string, b []byte) (*Compressed, error) {
 		off += 4
 	}
 	c.Region = append([]byte(nil), b[off:]...)
-	if err := c.rebuildBlockMeta(); err != nil {
-		return nil, err
-	}
-	c.rebuildStats()
 	return c, nil
 }
 
-// rebuildBlockMeta re-derives block extents and per-instruction cumulative
-// bit counts from the index table and the codeword stream.
-func (c *Compressed) rebuildBlockMeta() error {
-	nBlocks := len(c.Index) * GroupBlocks
-	c.blocks = make([]blockMeta, nBlocks)
-	for blk := 0; blk < nBlocks; blk++ {
-		start, raw, err := c.LookupBlock(blk)
+// indexExtent bounds block blk by the index table alone: it starts where
+// LookupBlock says and an encoded block ends where the next block starts
+// (or at the end of the region). A raw block is BlockNativeBytes long.
+func (c *Compressed) indexExtent(blk int) (start uint32, end int, raw bool, err error) {
+	if start, raw, err = c.LookupBlock(blk); err != nil {
+		return 0, 0, false, err
+	}
+	if raw {
+		if end = int(start) + BlockNativeBytes; end > len(c.Region) {
+			return 0, 0, false, fmt.Errorf("core: raw block %d extends past region", blk)
+		}
+		return start, end, true, nil
+	}
+	end = len(c.Region)
+	if e := c.Index[blk/GroupBlocks]; blk%GroupBlocks == 0 {
+		end = int(e.Block0Start + e.Block0Len)
+	} else if blk/GroupBlocks+1 < len(c.Index) {
+		end = int(c.Index[blk/GroupBlocks+1].Block0Start)
+	}
+	if end > len(c.Region) || int(start) > end {
+		return 0, 0, false, fmt.Errorf("core: block %d extent [%d,%d) invalid", blk, start, end)
+	}
+	return start, end, false, nil
+}
+
+// rescan rebuilds every block's start, size and cumBits, and the
+// composition statistics, by decoding each encoded block over its
+// index-derived extent with the production decoder. A codeword's length
+// names its class (2, 5, 8, 11 and 19 bits are classes 0-3 and raw), so
+// the consumed-bit positions carry the whole composition. The dispatch
+// tables built here are the cached ones later decodes use.
+func (c *Compressed) rescan() error {
+	c.blocks = make([]blockMeta, len(c.Index)*GroupBlocks)
+	c.stats = Stats{}
+	var (
+		out  [BlockInstrs]isa.Word
+		ends [2 * BlockInstrs]uint16
+		lens [RawCodewordBits + 1]int // codewords seen, by length in bits
+	)
+	for blk := range c.blocks {
+		start, end, raw, err := c.indexExtent(blk)
 		if err != nil {
 			return err
 		}
 		m := &c.blocks[blk]
-		m.start = start
-		m.raw = raw
+		m.start, m.raw = start, raw
 		if raw {
-			if int(start)+BlockNativeBytes > len(c.Region) {
-				return fmt.Errorf("core: raw block %d extends past region", blk)
-			}
 			m.size = BlockNativeBytes
-			for i := 0; i < BlockInstrs; i++ {
+			for i := range m.cumBits {
 				m.cumBits[i] = uint16((i + 1) * 32)
 			}
-			continue
-		}
-		end := len(c.Region)
-		if e := c.Index[blk/GroupBlocks]; blk%GroupBlocks == 0 {
-			end = int(e.Block0Start + e.Block0Len)
-		} else if blk/GroupBlocks+1 < len(c.Index) {
-			end = int(c.Index[blk/GroupBlocks+1].Block0Start)
-		}
-		if end > len(c.Region) || int(start) > end {
-			return fmt.Errorf("core: block %d extent [%d,%d) invalid", blk, start, end)
-		}
-		r := bitReader{buf: c.Region[start:end]}
-		for i := 0; i < BlockInstrs; i++ {
-			if _, err := decodeHalf(&r, c.High); err != nil {
-				return fmt.Errorf("core: rescan block %d: %w", blk, err)
-			}
-			if _, err := decodeHalf(&r, c.Low); err != nil {
-				return fmt.Errorf("core: rescan block %d: %w", blk, err)
-			}
-			m.cumBits[i] = uint16(r.pos)
-		}
-		m.size = uint16((r.pos + 7) / 8)
-	}
-	return nil
-}
-
-// rebuildStats recomputes size statistics (composition counters other than
-// sizes are rebuilt from a decode pass).
-func (c *Compressed) rebuildStats() {
-	c.stats = Stats{}
-	for blk := range c.blocks {
-		m := &c.blocks[blk]
-		if m.raw {
 			c.stats.RawBlockInstrs += BlockInstrs
 			c.stats.RawBits += BlockInstrs * 32
 			continue
 		}
-		c.stats.PadBits += int(m.size)*8 - int(m.cumBits[BlockInstrs-1])
+		if err := c.fastTables().decode(blk, c.Region[start:end], &out, &ends); err != nil {
+			return err
+		}
+		prev := uint16(0)
+		for h, pos := range ends {
+			lens[pos-prev]++
+			prev = pos
+			if h%2 == 1 {
+				m.cumBits[h/2] = pos
+			}
+		}
+		m.size = (prev + 7) / 8
+		c.stats.PadBits += int(m.size)*8 - int(prev)
+	}
+	for cl := class0; cl <= classRaw; cl++ {
+		c.stats.addCodewords(cl, lens[codewordBits(cl)])
 	}
 	c.finishStats(len(c.blocks) * BlockInstrs)
+	return nil
 }

@@ -27,6 +27,19 @@ type Stats struct {
 	PaddedInstrs    int
 }
 
+// addCodewords counts n encoded halfwords of class cl.
+func (s *Stats) addCodewords(cl, n int) {
+	if cl == classRaw {
+		s.RawTagBits += n * int(classTagBits[classRaw])
+		s.RawBits += n * int(classIndexBits[classRaw])
+		s.RawHalfwords += n
+		return
+	}
+	s.TagBits += n * int(classTagBits[cl])
+	s.IndexBits += n * int(classIndexBits[cl])
+	s.ClassCounts[cl] += n
+}
+
 func (c *Compressed) finishStats(paddedInstrs int) {
 	c.stats.IndexTableBytes = len(c.Index) * IndexEntryBytes
 	c.stats.DictBytes = c.High.Bytes() + c.Low.Bytes()

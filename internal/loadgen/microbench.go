@@ -2,11 +2,42 @@ package loadgen
 
 import (
 	"bufio"
+	"bytes"
+	"context"
+	"fmt"
 	"io"
+	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
 )
+
+// MicroBenchPattern selects the codec microbenchmarks a trajectory folds
+// in and cmd/benchcompare guards: encode and decode throughput, the
+// reference-vs-fast decoder split and the pooled serve-path decode, plus
+// the served path cold and warm.
+const MicroBenchPattern = "CompressThroughput|DecompressThroughput|DecodeThroughput|DecodePooled|ServerCompress"
+
+// MicroBenchPackages are the packages holding those benchmarks: the
+// module root, and internal/core, whose decoder benchmark needs the
+// test-only reference walker.
+var MicroBenchPackages = []string{".", "./internal/core"}
+
+// RunMicroBench runs the codec microbenchmarks with `go test -bench` in
+// the current module and parses the result lines. -p 1 runs the packages
+// one after another: concurrent benchmark binaries would share the CPUs
+// and skew each other's ns/op.
+func RunMicroBench(ctx context.Context, stderr io.Writer, benchtime string) ([]MicroBench, error) {
+	args := append([]string{"test", "-p", "1", "-run", "xxx", "-bench", MicroBenchPattern,
+		"-benchmem", "-benchtime", benchtime}, MicroBenchPackages...)
+	cmd := exec.CommandContext(ctx, "go", args...)
+	cmd.Stderr = stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go test -bench: %w", err)
+	}
+	return ParseGoBench(bytes.NewReader(out))
+}
 
 // MicroBench is one `go test -bench` result line, normalized: the
 // -<GOMAXPROCS> suffix is stripped from the name so trajectories compare

@@ -6,19 +6,18 @@
 // alert fires — so the evidence for a tail-latency regression exists
 // before anyone attaches a debugger.
 //
-// Like the rest of cpackd it is dependency-free: the config format is a
-// hand-rolled line grammar (hot-reloadable on SIGHUP, exactly like the
-// tenants file), the rings are plain bucketed counters, and the engine
+// Like the rest of cpackd it is dependency-free: the config format is the
+// linecfg line grammar shared with the tenants file (hot-reloadable on
+// SIGHUP), the rings are plain bucketed counters, and the engine
 // exposes snapshots for /debug/slo and the cpackd_slo_* metrics.
 package obs
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"strconv"
-	"strings"
 	"time"
+
+	"codepack/internal/linecfg"
 )
 
 // Default burn-rate thresholds. The fast pair (5m/1h windows) pages:
@@ -84,10 +83,8 @@ type Snapshot struct {
 	Source string
 }
 
-// ParseConfig parses the SLO config format. It is line-based so it
-// diffs and hot-edits well:
+// ParseConfig parses the SLO config format, in the linecfg grammar:
 //
-//	# comments and blank lines are ignored
 //	slo <name> target=<percent> [endpoint=<ep>] [tenant=<id>] \
 //	           [latency=<dur>] [window=<dur>] [fast-burn=<x>] [slow-burn=<x>]
 //
@@ -99,54 +96,38 @@ type Snapshot struct {
 func ParseConfig(src, name string) (*Snapshot, error) {
 	snap := &Snapshot{Source: name}
 	seen := map[string]bool{}
-	sc := bufio.NewScanner(strings.NewReader(src))
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		errf := func(format string, args ...any) error {
-			return fmt.Errorf("%s:%d: %s", name, lineNo, fmt.Sprintf(format, args...))
-		}
+	if err := linecfg.Scan(src, name, func(fields []string, errf func(string, ...any) error) error {
 		if fields[0] != "slo" {
-			return nil, errf("unknown directive %q (want slo)", fields[0])
+			return errf("unknown directive %q (want slo)", fields[0])
 		}
 		if len(fields) < 2 {
-			return nil, errf("slo needs a name")
+			return errf("slo needs a name")
 		}
 		id := fields[1]
 		if !validName(id) {
-			return nil, errf("invalid slo name %q (want [a-z0-9_-], 1..48 bytes)", id)
+			return errf("invalid slo name %q (want [a-z0-9_-], 1..48 bytes)", id)
 		}
 		if seen[id] {
-			return nil, errf("duplicate slo %q", id)
+			return errf("duplicate slo %q", id)
 		}
 		o := Objective{Name: id}
 		if err := parseObjectiveAttrs(&o, fields[2:]); err != nil {
-			return nil, errf("slo %s: %v", id, err)
+			return errf("slo %s: %v", id, err)
 		}
 		if o.Target == 0 {
-			return nil, errf("slo %s: missing target=", id)
+			return errf("slo %s: missing target=", id)
 		}
 		seen[id] = true
 		snap.Objectives = append(snap.Objectives, o)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }
 
 func parseObjectiveAttrs(o *Objective, attrs []string) error {
-	for _, a := range attrs {
-		k, v, ok := strings.Cut(a, "=")
-		if !ok || v == "" {
-			return fmt.Errorf("malformed attribute %q (want key=value)", a)
-		}
+	return linecfg.Attrs(attrs, func(k, v string) error {
 		switch k {
 		case "target":
 			pct, err := strconv.ParseFloat(v, 64)
@@ -191,8 +172,8 @@ func parseObjectiveAttrs(o *Objective, attrs []string) error {
 		default:
 			return fmt.Errorf("unknown attribute %q", k)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // validName bounds the names that land in metric labels, so a hostile
@@ -208,13 +189,4 @@ func validName(s string) bool {
 		}
 	}
 	return true
-}
-
-// LoadFile reads and parses an SLO config file.
-func LoadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseConfig(string(data), path)
 }

@@ -1,11 +1,11 @@
 package tenant
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
+
+	"codepack/internal/linecfg"
 )
 
 // Snapshot is one immutable parsed tenants config. The request path
@@ -27,15 +27,6 @@ type Snapshot struct {
 	Source string
 }
 
-// Tenants returns the declared tenants in stable (config) order IDs.
-func (s *Snapshot) TenantIDs() []string {
-	ids := make([]string, 0, len(s.ByID))
-	for id := range s.ByID {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // OpenSnapshot is the zero-config snapshot: no cluster key, anonymous
 // callers admitted with weight 1 and no limits. It preserves the
 // pre-tenancy behaviour of a server started without -tenants.
@@ -49,10 +40,8 @@ func OpenSnapshot() *Snapshot {
 	}
 }
 
-// ParseConfig parses the tenants config format. It is line-based so it
-// diffs and hot-edits well:
+// ParseConfig parses the tenants config format, in the linecfg grammar:
 //
-//	# comments and blank lines are ignored
 //	cluster-key <secret>                # optional; enables signed peer traffic
 //	tenant <id> key=<key> [weight=<n>] [rate=<rps>] [burst=<n>] [quota=<bytes|KiB|MiB|GiB>]
 //	anon [weight=<n>] [rate=<rps>] [burst=<n>] [quota=<...>]  # enable unauthenticated access
@@ -66,70 +55,58 @@ func ParseConfig(src, name string) (*Snapshot, error) {
 		ByKey:  map[string]*Tenant{},
 		Source: name,
 	}
-	sc := bufio.NewScanner(strings.NewReader(src))
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		errf := func(format string, args ...any) error {
-			return fmt.Errorf("%s:%d: %s", name, lineNo, fmt.Sprintf(format, args...))
-		}
+	if err := linecfg.Scan(src, name, func(fields []string, errf func(string, ...any) error) error {
 		switch fields[0] {
 		case "cluster-key":
 			if len(fields) != 2 {
-				return nil, errf("cluster-key takes exactly one value")
+				return errf("cluster-key takes exactly one value")
 			}
 			if len(snap.ClusterKey) > 0 {
-				return nil, errf("duplicate cluster-key")
+				return errf("duplicate cluster-key")
 			}
 			if err := validateKey(fields[1]); err != nil {
-				return nil, errf("cluster-key: %v", err)
+				return errf("cluster-key: %v", err)
 			}
 			snap.ClusterKey = []byte(fields[1])
 		case "tenant":
 			if len(fields) < 2 {
-				return nil, errf("tenant needs an id")
+				return errf("tenant needs an id")
 			}
 			id := fields[1]
 			if !ValidID(id) {
-				return nil, errf("invalid tenant id %q (want lowercase [a-z0-9_-], 1..32 bytes)", id)
+				return errf("invalid tenant id %q (want lowercase [a-z0-9_-], 1..32 bytes)", id)
 			}
 			if id == AnonID || id == InternalID {
-				return nil, errf("tenant id %q is reserved (use an %q line for anonymous access)", id, AnonID)
+				return errf("tenant id %q is reserved (use an %q line for anonymous access)", id, AnonID)
 			}
 			t := &Tenant{ID: id, Weight: 1}
 			if err := parseAttrs(t, fields[2:], true); err != nil {
-				return nil, errf("tenant %s: %v", id, err)
+				return errf("tenant %s: %v", id, err)
 			}
 			if _, dup := snap.ByID[id]; dup {
-				return nil, errf("duplicate tenant id %q", id)
+				return errf("duplicate tenant id %q", id)
 			}
 			if prev, dup := snap.ByKey[t.Key]; dup {
-				return nil, errf("tenant %s reuses the key of tenant %s", id, prev.ID)
+				return errf("tenant %s reuses the key of tenant %s", id, prev.ID)
 			}
 			snap.ByID[id] = t
 			snap.ByKey[t.Key] = t
 		case AnonID:
 			if snap.Anon != nil {
-				return nil, errf("duplicate anon line")
+				return errf("duplicate anon line")
 			}
 			t := &Tenant{ID: AnonID, Weight: 1}
 			if err := parseAttrs(t, fields[1:], false); err != nil {
-				return nil, errf("anon: %v", err)
+				return errf("anon: %v", err)
 			}
 			snap.Anon = t
 			snap.ByID[AnonID] = t
 		default:
-			return nil, errf("unknown directive %q", fields[0])
+			return errf("unknown directive %q", fields[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }
@@ -137,11 +114,7 @@ func ParseConfig(src, name string) (*Snapshot, error) {
 // parseAttrs fills t from key=value attributes. wantKey requires (and
 // permits) a key= attribute — the anon line takes none.
 func parseAttrs(t *Tenant, attrs []string, wantKey bool) error {
-	for _, a := range attrs {
-		k, v, ok := strings.Cut(a, "=")
-		if !ok || v == "" {
-			return fmt.Errorf("malformed attribute %q (want key=value)", a)
-		}
+	if err := linecfg.Attrs(attrs, func(k, v string) error {
 		switch k {
 		case "key":
 			if !wantKey {
@@ -178,6 +151,9 @@ func parseAttrs(t *Tenant, attrs []string, wantKey bool) error {
 		default:
 			return fmt.Errorf("unknown attribute %q", k)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	if wantKey && t.Key == "" {
 		return fmt.Errorf("missing key=")
@@ -208,13 +184,4 @@ func parseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("byte count overflows: %q", s)
 	}
 	return n * mult, nil
-}
-
-// LoadFile reads and parses a tenants config file.
-func LoadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseConfig(string(data), path)
 }

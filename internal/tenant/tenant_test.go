@@ -218,8 +218,7 @@ func TestRegistryConcurrentAdmitReload(t *testing.T) {
 				default:
 				}
 				snap := r.Snapshot()
-				for _, id := range snap.TenantIDs() {
-					tn := snap.ByID[id]
+				for id, tn := range snap.ByID {
 					r.Admit(tn, now)
 					r.AccountBytes(id, 100, now)
 					r.WindowBytes(id, now)
