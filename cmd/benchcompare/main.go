@@ -1,8 +1,8 @@
 // Command benchcompare guards the codec microbenchmarks against
-// regressions: it compares a fresh `go test -bench` run (or a captured
-// output file) against the microbenchmark section of a committed
-// BENCH_<n>.json trajectory and fails when any shared benchmark got more
-// than -threshold times slower.
+// regressions: it compares fresh `go test -bench` results (the median of
+// several passes, or a captured output file) against the microbenchmark
+// section of a committed BENCH_<n>.json trajectory and fails when any
+// shared benchmark got more than -threshold times slower.
 //
 // Raw ns/op is not comparable across machines, so the comparison is
 // anchor-normalized: one benchmark present in both runs (the reference

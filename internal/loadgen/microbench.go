@@ -3,11 +3,13 @@ package loadgen
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"os/exec"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -23,20 +25,49 @@ const MicroBenchPattern = "CompressThroughput|DecompressThroughput|DecodeThrough
 // test-only reference walker.
 var MicroBenchPackages = []string{".", "./internal/core"}
 
+// microBenchRuns is how many times RunMicroBench repeats the benchmark
+// set. One pass at a short -benchtime is at the mercy of whatever else
+// the host is doing; the median of several passes is less so.
+const microBenchRuns = 5
+
 // RunMicroBench runs the codec microbenchmarks with `go test -bench` in
-// the current module and parses the result lines. -p 1 runs the packages
-// one after another: concurrent benchmark binaries would share the CPUs
-// and skew each other's ns/op.
+// the current module, microBenchRuns times over, and returns each
+// benchmark's median pass. -p 1 runs the packages one after another:
+// concurrent benchmark binaries would share the CPUs and skew each
+// other's ns/op.
 func RunMicroBench(ctx context.Context, stderr io.Writer, benchtime string) ([]MicroBench, error) {
 	args := append([]string{"test", "-p", "1", "-run", "xxx", "-bench", MicroBenchPattern,
 		"-benchmem", "-benchtime", benchtime}, MicroBenchPackages...)
-	cmd := exec.CommandContext(ctx, "go", args...)
-	cmd.Stderr = stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go test -bench: %w", err)
+	var out bytes.Buffer
+	for i := 0; i < microBenchRuns; i++ {
+		cmd := exec.CommandContext(ctx, "go", args...)
+		cmd.Stdout, cmd.Stderr = &out, stderr
+		if err := cmd.Run(); err != nil {
+			return nil, fmt.Errorf("go test -bench: %w", err)
+		}
 	}
-	return ParseGoBench(bytes.NewReader(out))
+	return ParseGoBench(&out)
+}
+
+// medianByName folds repeated results of one benchmark into the pass
+// with the median ns/op (the upper middle one for an even count), so
+// every reported line is one real measurement. Benchmarks keep the
+// order of their first appearance.
+func medianByName(results []MicroBench) []MicroBench {
+	var out []MicroBench
+	byName := make(map[string][]MicroBench)
+	for _, r := range results {
+		if _, ok := byName[r.Name]; !ok {
+			out = append(out, r)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	for i := range out {
+		rs := byName[out[i].Name]
+		slices.SortFunc(rs, func(a, b MicroBench) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+		out[i] = rs[len(rs)/2]
+	}
+	return out
 }
 
 // MicroBench is one `go test -bench` result line, normalized: the
@@ -55,7 +86,8 @@ var benchSuffix = regexp.MustCompile(`-\d+$`)
 
 // ParseGoBench extracts benchmark result lines from `go test -bench`
 // output (as produced with -benchmem). Non-result lines are ignored, so
-// the full test output can be piped in unfiltered.
+// the full test output can be piped in unfiltered. A benchmark reported
+// more than once (repeated passes, -count) folds to its median pass.
 func ParseGoBench(r io.Reader) ([]MicroBench, error) {
 	var out []MicroBench
 	sc := bufio.NewScanner(r)
@@ -95,5 +127,5 @@ func ParseGoBench(r io.Reader) ([]MicroBench, error) {
 			out = append(out, mb)
 		}
 	}
-	return out, sc.Err()
+	return medianByName(out), sc.Err()
 }

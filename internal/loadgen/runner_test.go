@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -259,5 +260,25 @@ PASS
 	}
 	if got[1].Name != "BenchmarkServerCompress/hit" || got[1].NsPerOp != 654321 {
 		t.Fatalf("bad parse: %+v", got[1])
+	}
+}
+
+// TestMedianByName: repeated passes fold to one result per benchmark,
+// the pass with the median ns/op, in first-appearance order — one slow
+// pass (a noisy neighbour) does not move the result.
+func TestMedianByName(t *testing.T) {
+	var passes []MicroBench
+	for _, ns := range []float64{100, 900, 110} {
+		passes = append(passes,
+			MicroBench{Name: "BenchmarkB", Iterations: 20, NsPerOp: ns, AllocsPerOp: ns / 10},
+			MicroBench{Name: "BenchmarkA", Iterations: 20, NsPerOp: 2 * ns})
+	}
+	got := medianByName(passes)
+	want := []MicroBench{
+		{Name: "BenchmarkB", Iterations: 20, NsPerOp: 110, AllocsPerOp: 11},
+		{Name: "BenchmarkA", Iterations: 20, NsPerOp: 220},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("medianByName = %+v, want %+v", got, want)
 	}
 }

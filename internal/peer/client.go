@@ -6,8 +6,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"time"
@@ -33,8 +35,107 @@ const (
 	HealthPath = "/internal/v1/health"
 )
 
-// maxHealthBytes bounds a peer's health summary response.
-const maxHealthBytes = 1 << 20
+// Reply size bounds: a peer's health summary, and a control reply (a
+// push acknowledgement, an offer's want list).
+const (
+	maxHealthBytes = 1 << 20
+	maxReplyBytes  = 1 << 20
+)
+
+// errBreakerOpen reports a call that was skipped, not sent: the
+// target's breaker is open. Nothing is charged.
+var errBreakerOpen = errors.New("peer: breaker open")
+
+// statusError is a peer's definitive answer other than 2xx or 5xx: the
+// peer is alive and said no (404 for a digest it lacks, 401 for a bad
+// signature). Every other roundTrip error is a failure.
+type statusError struct {
+	method, path string
+	code         int
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("peer: %s %s returned %d", e.method, e.path, e.code)
+}
+
+// roundTrip sends one node-to-node request to target and returns the
+// reply body of a 2xx answer. Every request one node makes of another
+// goes through here: it applies the per-attempt FetchTimeout, the trace
+// headers and the HMAC signature, and reads at most limit bytes — a
+// longer reply is an error, not a truncation. A non-nil check vets a
+// 2xx reply (its checksum header, its JSON).
+//
+// With a breaker, roundTrip also gates the call (errBreakerOpen) and
+// charges its outcome by one rule: a transport error, a 5xx or an
+// unusable reply (over the limit, or rejected by check) is a failure,
+// and any other answer, 4xx included, proves the peer alive. A non-2xx
+// answer below 500 comes back as a *statusError. Membership calls pass
+// no breaker: gossip has its own failure detector.
+func (c *Cluster) roundTrip(ctx context.Context, b *breaker, method, target, path string,
+	body []byte, hdr http.Header, limit int64, check func(http.Header, []byte) error) (reply []byte, err error) {
+	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(actx, method, target+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err // a local fault: the peer is not charged
+	}
+	if b != nil {
+		if !b.allow() {
+			c.stats.breakerSkips.Add(1)
+			return nil, fmt.Errorf("%w for %s", errBreakerOpen, target)
+		}
+		defer func() {
+			var answer *statusError
+			if err == nil || errors.As(err, &answer) {
+				b.success()
+				c.members.ObserveAlive(target)
+			} else {
+				c.noteFailure(target, b)
+			}
+		}()
+	}
+	maps.Copy(req.Header, hdr)
+	c.setTraceHeader(req, ctx)
+	c.signRequest(req, body)
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	if resp.StatusCode >= 500 {
+		return nil, fmt.Errorf("peer: %s %s returned %d", method, path, resp.StatusCode)
+	}
+	reply, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	switch {
+	case err != nil:
+		return nil, err
+	case int64(len(reply)) > limit:
+		return nil, fmt.Errorf("peer: %s %s reply exceeds %d bytes", method, path, limit)
+	case resp.StatusCode < 200 || resp.StatusCode > 299:
+		return nil, &statusError{method: method, path: path, code: resp.StatusCode}
+	case check != nil:
+		if err := check(resp.Header, reply); err != nil {
+			return nil, err
+		}
+	}
+	return reply, nil
+}
+
+// checkSum rejects a cache payload whose X-Cpackd-Sum header does not
+// match its SHA-256.
+func checkSum(h http.Header, payload []byte) error {
+	sum := sha256.Sum256(payload)
+	if got := h.Get(SumHeader); got != hex.EncodeToString(sum[:]) {
+		return fmt.Errorf("peer: payload checksum mismatch (header %q)", got)
+	}
+	return nil
+}
+
+// jsonHeader is the header of a request with a JSON body.
+func jsonHeader() http.Header { return http.Header{"Content-Type": {"application/json"}} }
 
 // FetchHealth GETs one member's signed health summary, returning the
 // raw JSON document for the caller to decode (the server owns the
@@ -42,43 +143,8 @@ const maxHealthBytes = 1 << 20
 // every other peer call, one attempt — /debug/cluster reports an
 // unreachable member rather than waiting on retries.
 func (c *Cluster) FetchHealth(ctx context.Context, member string) ([]byte, error) {
-	b := c.breakerFor(member)
-	if !b.allow() {
-		c.stats.breakerSkips.Add(1)
-		return nil, fmt.Errorf("peer: breaker open for %s", member)
-	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, member+HealthPath, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, nil)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.noteFailure(member, b)
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= 500 {
-			c.noteFailure(member, b)
-		} else {
-			c.noteSuccess(member, b)
-		}
-		return nil, fmt.Errorf("peer: health returned %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxHealthBytes))
-	if err != nil {
-		c.noteFailure(member, b)
-		return nil, err
-	}
-	c.noteSuccess(member, b)
-	return body, nil
+	return c.roundTrip(ctx, c.breakerFor(member), http.MethodGet, member, HealthPath,
+		nil, nil, maxHealthBytes, nil)
 }
 
 // FetchOutcome classifies one warm-tier lookup.
@@ -93,17 +159,18 @@ const (
 	// FetchMiss: the owner answered definitively that it does not hold
 	// the digest.
 	FetchMiss
-	// FetchUnavailable: the owner could not be asked — breaker open, or
-	// every attempt failed.
+	// FetchUnavailable: the owner could not be asked — breaker open,
+	// every attempt failed, or it refused the request (a 4xx other than
+	// 404).
 	FetchUnavailable
 )
 
 // Fetch asks digest's replica set for its cached payload, walking the
 // successor list in placement order: a replica whose breaker is open is
 // skipped outright, a replica that cannot be reached, answers 404 or
-// serves a payload failing the caller's verify falls through to the
-// next. verify (nil = accept) must be a pure check — Fetch itself
-// charges a failed verification to the replica's breaker.
+// another 4xx, or serves a payload failing the caller's verify falls
+// through to the next. verify (nil = accept) must be a pure check —
+// Fetch itself charges a failed verification to the replica's breaker.
 //
 // On a verified hit, Fetch read-repairs: every replica that answered a
 // definitive 404 during the walk is re-offered the entry through the
@@ -113,16 +180,7 @@ const (
 // of the replicas, a hit also counts one read-repair for the local
 // install the caller performs.
 func (c *Cluster) Fetch(ctx context.Context, digest string, verify func(owner string, payload []byte) bool) ([]byte, string, FetchOutcome) {
-	owners := c.Owners(digest)
-	selfOwner := false
-	remote := make([]string, 0, len(owners))
-	for _, o := range owners {
-		if o == c.self {
-			selfOwner = true
-		} else {
-			remote = append(remote, o)
-		}
-	}
+	remote, selfOwner := c.remoteOwners(digest)
 	if len(remote) == 0 {
 		return nil, "", FetchSelf
 	}
@@ -144,8 +202,7 @@ func (c *Cluster) Fetch(ctx context.Context, digest string, verify func(owner st
 			// The replica served bytes that are not the program the digest
 			// names: charge its breaker like any other failure and try the
 			// next replica.
-			c.noteFailure(owner, b)
-			c.stats.fetchErrors.Add(1)
+			c.ReportBadPayload(owner)
 			outcome = "verify-failed"
 			payload, found = nil, false
 		}
@@ -179,48 +236,46 @@ func (c *Cluster) Fetch(ctx context.Context, digest string, verify func(owner st
 	return nil, remote[0], FetchUnavailable
 }
 
-// fetchReplica runs the retry loop against one replica. outcome is one
-// of "hit", "miss", "breaker-skip", "canceled", "unavailable"; found is
-// true only for a hit.
+// fetchReplica runs the retry loop against one replica; only failures
+// are retried. outcome is one of "hit", "miss", "rejected" (another
+// 4xx), "breaker-skip", "canceled", "unavailable"; found is true only
+// for a hit.
 func (c *Cluster) fetchReplica(ctx context.Context, owner, digest string, b *breaker) (payload []byte, found bool, outcome string) {
-	if !b.allow() {
-		c.stats.breakerSkips.Add(1)
-		return nil, false, "breaker-skip"
-	}
 	attempts := 1 + c.cfg.Retries
 	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			if !sleepCtx(ctx, backoff(c.cfg.BackoffBase, i-1)) {
-				c.stats.fetchErrors.Add(1)
-				return nil, false, "canceled"
-			}
-			// Re-check the breaker between attempts: another request's
-			// failures may have tripped it while we were backing off.
-			if !b.allow() {
-				c.stats.breakerSkips.Add(1)
-				return nil, false, "breaker-skip"
-			}
+		if i > 0 && !sleepCtx(ctx, backoff(c.cfg.BackoffBase, i-1)) {
+			c.stats.fetchErrors.Add(1)
+			return nil, false, "canceled"
 		}
 		actx, as := trace.Start(ctx, "peer-attempt",
 			trace.Int("attempt", i+1),
 			trace.String("breaker", b.snapshot().State))
-		payload, ok, err := c.fetchOnce(actx, owner, digest)
+		payload, err := c.roundTrip(actx, b, http.MethodGet, owner, CachePathPrefix+digest,
+			nil, nil, maxPayloadBytes, checkSum)
 		if err != nil {
 			as.SetAttr("err", err.Error())
-			as.End()
-			c.noteFailure(owner, b)
-			c.stats.fetchErrors.Add(1)
-			c.log.Debug("peer fetch attempt failed",
-				"peer", owner, "digest", digest, "attempt", i+1, "err", err)
-			continue
 		}
 		as.End()
-		c.noteSuccess(owner, b)
-		if !ok {
+		var answer *statusError
+		switch {
+		case err == nil:
+			return payload, true, "hit"
+		case errors.Is(err, errBreakerOpen):
+			// Open from the start, or tripped by another request's
+			// failures while this one backed off.
+			return nil, false, "breaker-skip"
+		case errors.As(err, &answer) && answer.code == http.StatusNotFound:
 			c.stats.fetchMisses.Add(1)
 			return nil, false, "miss"
+		case errors.As(err, &answer):
+			// The replica is alive but refused (a 401 from a mis-keyed
+			// member): a retry would get the same answer.
+			c.stats.fetchErrors.Add(1)
+			return nil, false, "rejected"
 		}
-		return payload, true, "hit"
+		c.stats.fetchErrors.Add(1)
+		c.log.Debug("peer fetch attempt failed",
+			"peer", owner, "digest", digest, "attempt", i+1, "err", err)
 	}
 	return nil, false, "unavailable"
 }
@@ -255,46 +310,6 @@ func (c *Cluster) readRepair(ctx context.Context, digest string, payload []byte,
 	}
 }
 
-// fetchOnce is one GET against the owner. found=false reports a clean
-// 404 (the peer is healthy, it just lacks the entry).
-func (c *Cluster) fetchOnce(ctx context.Context, owner, digest string) (payload []byte, found bool, err error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, owner+CachePathPrefix+digest, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, nil)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return nil, false, nil
-	default:
-		return nil, false, fmt.Errorf("peer: owner returned %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPayloadBytes+1))
-	if err != nil {
-		return nil, false, err
-	}
-	if len(body) > maxPayloadBytes {
-		return nil, false, fmt.Errorf("peer: payload exceeds %d bytes", maxPayloadBytes)
-	}
-	sum := sha256.Sum256(body)
-	if got := resp.Header.Get(SumHeader); got != hex.EncodeToString(sum[:]) {
-		return nil, false, fmt.Errorf("peer: payload checksum mismatch (header %q)", got)
-	}
-	return body, true, nil
-}
-
 // Replicate enqueues an async best-effort push of a newly compressed
 // entry to its replica set. Digests whose only owner is this instance
 // stay local; a full queue drops the job (anti-entropy repairs the gap
@@ -306,14 +321,7 @@ func (c *Cluster) fetchOnce(ctx context.Context, owner, digest string) (payload 
 func (c *Cluster) Replicate(ctx context.Context, digest string, payload []byte) {
 	_, es := trace.Start(ctx, "repl-enqueue", trace.String("digest", shortDigest(digest)))
 	defer es.End()
-	hasRemote := false
-	for _, o := range c.Owners(digest) {
-		if o != c.self {
-			hasRemote = true
-			break
-		}
-	}
-	if !hasRemote {
+	if remote, _ := c.remoteOwners(digest); len(remote) == 0 {
 		es.SetAttr("outcome", "self")
 		return
 	}
@@ -345,11 +353,7 @@ func (c *Cluster) replWorker() {
 		if targets == nil {
 			// A ring-resolved job: push to every remote member of the
 			// digest's current replica set.
-			for _, o := range c.Owners(j.digest) {
-				if o != c.self {
-					targets = append(targets, o)
-				}
-			}
+			targets, _ = c.remoteOwners(j.digest)
 		}
 		if len(targets) == 0 {
 			continue // ownership moved entirely to us while the job was queued
@@ -420,42 +424,14 @@ func (c *Cluster) push(ctx context.Context, owner, digest string, payload []byte
 		}
 		ps.End()
 	}()
-	b := c.breakerFor(owner)
-	if !b.allow() {
-		c.stats.breakerSkips.Add(1)
-		return fmt.Errorf("peer: breaker open for %s", owner)
-	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPut,
-		owner+CachePathPrefix+digest, bytes.NewReader(payload))
-	if err != nil {
-		c.noteFailure(owner, b)
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
 	sum := sha256.Sum256(payload)
-	req.Header.Set(SumHeader, hex.EncodeToString(sum[:]))
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, payload)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.noteFailure(owner, b)
-		return err
+	hdr := http.Header{
+		"Content-Type": {"application/octet-stream"},
+		SumHeader:      {hex.EncodeToString(sum[:])},
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		// The peer answered, so it is alive; only 5xx counts against it.
-		if resp.StatusCode >= 500 {
-			c.noteFailure(owner, b)
-		} else {
-			c.noteSuccess(owner, b)
-		}
-		return fmt.Errorf("peer: replication target returned %d", resp.StatusCode)
-	}
-	c.noteSuccess(owner, b)
-	return nil
+	_, err = c.roundTrip(ctx, c.breakerFor(owner), http.MethodPut, owner, CachePathPrefix+digest,
+		payload, hdr, maxReplyBytes, nil)
+	return err
 }
 
 // AntiEntropy offers every locally held digest to each member of its
@@ -522,48 +498,18 @@ func (c *Cluster) offer(ctx context.Context, owner string, digests []string) (wa
 		}
 		os.End()
 	}()
-	b := c.breakerFor(owner)
-	if !b.allow() {
-		c.stats.breakerSkips.Add(1)
-		return nil, fmt.Errorf("peer: breaker open for %s", owner)
-	}
 	body, err := json.Marshal(offerRequest{Digests: digests})
 	if err != nil {
 		return nil, err
 	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, owner+OfferPath, bytes.NewReader(body))
-	if err != nil {
-		c.noteFailure(owner, b)
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, body)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.noteFailure(owner, b)
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= 500 {
-			c.noteFailure(owner, b)
-		} else {
-			c.noteSuccess(owner, b)
-		}
-		return nil, fmt.Errorf("peer: offer returned %d", resp.StatusCode)
-	}
 	var or offerResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&or); err != nil {
-		c.noteFailure(owner, b)
+	_, err = c.roundTrip(ctx, c.breakerFor(owner), http.MethodPost, owner, OfferPath,
+		body, jsonHeader(), maxReplyBytes, func(_ http.Header, reply []byte) error {
+			return json.Unmarshal(reply, &or)
+		})
+	if err != nil {
 		return nil, err
 	}
-	c.noteSuccess(owner, b)
 	return or.Want, nil
 }
 

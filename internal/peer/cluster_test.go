@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -686,5 +687,161 @@ func TestFetchForwardsTraceID(t *testing.T) {
 	c.Fetch(ctx, peerOwnedDigest(t, c, "trace"), nil)
 	if got, _ := gotID.Load().(string); got != "req-abc-123" {
 		t.Errorf("peer saw request ID %q, want req-abc-123", got)
+	}
+}
+
+// TestRoundTripOutcomes pins the one breaker rule every node-to-node
+// request follows: a transport error, a 5xx or an unusable reply is a
+// failure charged to the peer; any other answer, 4xx included, proves
+// it alive. The breaker starts with one failure on record, so a
+// success leaves 0 and a failure 2.
+func TestRoundTripOutcomes(t *testing.T) {
+	good := []byte("payload")
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/transport":
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+		case "/200", "/oversize", "/badsum", "/badjson":
+			w.Header().Set(SumHeader, testDigestOf(good))
+			switch r.URL.Path {
+			case "/200":
+				w.Write(good)
+			case "/oversize":
+				w.Write(bytes.Repeat([]byte("x"), 65))
+			case "/badsum":
+				w.Write([]byte("tampered"))
+			case "/badjson":
+				w.Write([]byte("{not json"))
+			}
+		case "/204":
+			w.WriteHeader(http.StatusNoContent)
+		case "/404":
+			http.NotFound(w, r)
+		case "/401":
+			http.Error(w, "bad signature", http.StatusUnauthorized)
+		case "/500":
+			http.Error(w, "broken", http.StatusInternalServerError)
+		}
+	}))
+	defer ts.Close()
+	c := newTestCluster(t, ts.URL, nil)
+
+	decodeJSON := func(_ http.Header, reply []byte) error {
+		var v any
+		return json.Unmarshal(reply, &v)
+	}
+	for _, tc := range []struct {
+		path      string
+		check     func(http.Header, []byte) error
+		wantErr   bool
+		wantFails int // consecutive breaker failures after the call
+	}{
+		{"/transport", nil, true, 2},
+		{"/200", checkSum, false, 0},
+		{"/204", nil, false, 0},
+		{"/404", nil, true, 0},
+		{"/401", nil, true, 0},
+		{"/500", nil, true, 2},
+		{"/oversize", nil, true, 2},
+		{"/badsum", checkSum, true, 2},
+		{"/badjson", decodeJSON, true, 2},
+	} {
+		b := newBreaker(10, time.Hour)
+		b.failure()
+		_, err := c.roundTrip(context.Background(), b, http.MethodGet, ts.URL, tc.path, nil, nil, 64, tc.check)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.path, err, tc.wantErr)
+		}
+		if got := b.snapshot().Fails; got != tc.wantFails {
+			t.Errorf("%s: breaker failures = %d, want %d", tc.path, got, tc.wantFails)
+		}
+	}
+
+	// An open breaker skips the call: nothing is sent or charged.
+	b := newBreaker(1, time.Hour)
+	b.failure()
+	if _, err := c.roundTrip(context.Background(), b, http.MethodGet, ts.URL, "/500", nil, nil, 64, nil); !errors.Is(err, errBreakerOpen) {
+		t.Errorf("open breaker: err = %v, want errBreakerOpen", err)
+	}
+	if snap := b.snapshot(); snap.State != "open" || snap.Opens != 1 {
+		t.Errorf("open breaker after a skip = %+v, want open with 1 open", snap)
+	}
+}
+
+// TestFetchRejectedReplicaStaysHealthy: a replica that answers 401 (a
+// mis-keyed member) is alive and said no. It is asked once, not
+// retried, keeps a closed breaker and its alive state, and the walk
+// goes on to the next replica.
+func TestFetchRejectedReplicaStaysHealthy(t *testing.T) {
+	var calls atomic.Int64
+	tsA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, CachePathPrefix) {
+			calls.Add(1)
+			http.Error(w, "bad signature", http.StatusUnauthorized)
+			return
+		}
+		http.NotFound(w, r)
+	}))
+	defer tsA.Close()
+	srcB := newMemSource()
+	tsB := httptest.NewServer(mountHandler(NewHandler(srcB, quiet())))
+	defer tsB.Close()
+	c := newReplicatedCluster(t, tsA.URL, tsB.URL, func(cfg *Config) { cfg.Retries = 1 })
+
+	payload := []byte("replica-b-payload")
+	d := digestOwnedByBoth(t, c, tsA.URL, tsB.URL, "rejected")
+	srcB.Accept(d, payload)
+
+	got, owner, out := c.Fetch(context.Background(), d, nil)
+	if out != FetchHit || owner != tsB.URL || !bytes.Equal(got, payload) {
+		t.Fatalf("Fetch = (%q, %s, %d), want a hit from B", got, owner, out)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("rejecting replica asked %d times, want 1 (a 4xx is not retried)", n)
+	}
+	if snap := c.breakerFor(tsA.URL).snapshot(); snap.State != "closed" || snap.Fails != 0 {
+		t.Errorf("rejecting replica's breaker = %+v, want closed with no failures", snap)
+	}
+	if st, _ := c.members.State(tsA.URL); st != StateAlive {
+		t.Errorf("rejecting replica's member state = %v, want alive", st)
+	}
+}
+
+// TestLeaveAnnouncementCarriesTraceID: the leave announcement carries
+// the caller's request ID like every other node-to-node request.
+func TestLeaveAnnouncementCarriesTraceID(t *testing.T) {
+	var gotID atomic.Value
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == LeavePath {
+			gotID.Store(r.Header.Get(trace.Header))
+		}
+		http.NotFound(w, r)
+	}))
+	defer ts.Close()
+	c := newTestCluster(t, ts.URL, nil)
+
+	c.Leave(trace.WithID(context.Background(), "leave-req-42"), nil, nil)
+	if got, _ := gotID.Load().(string); got != "leave-req-42" {
+		t.Errorf("leave announcement carried request ID %q, want leave-req-42", got)
+	}
+}
+
+// TestFetchHealthRejectsOversizedBody: a health summary longer than
+// maxHealthBytes is an error, not a silently truncated document.
+func TestFetchHealthRejectsOversizedBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != HealthPath {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(bytes.Repeat([]byte(" "), maxHealthBytes+1))
+	}))
+	defer ts.Close()
+	c := newTestCluster(t, ts.URL, nil)
+
+	if body, err := c.FetchHealth(context.Background(), ts.URL); err == nil {
+		t.Fatalf("FetchHealth returned %d bytes and no error for an oversized summary", len(body))
 	}
 }

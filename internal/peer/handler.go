@@ -95,8 +95,7 @@ func (h *Handler) Put(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	sum := sha256.Sum256(payload)
-	if got := r.Header.Get(SumHeader); got != hex.EncodeToString(sum[:]) {
+	if checkSum(r.Header, payload) != nil {
 		http.Error(w, "payload checksum mismatch", http.StatusBadRequest)
 		return
 	}

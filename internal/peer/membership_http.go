@@ -136,27 +136,12 @@ func (c *Cluster) exchange(ctx context.Context, target, path string) (changed bo
 	if err != nil {
 		return false, err
 	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, target+path, bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, body)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("peer: %s to %s returned %d", path, target, resp.StatusCode)
-	}
-	reply, err := DecodeMembershipMsg(resp.Body)
+	var reply MembershipMsg
+	_, err = c.roundTrip(ctx, nil, http.MethodPost, target, path, body, jsonHeader(), maxMembershipBody,
+		func(_ http.Header, raw []byte) (err error) {
+			reply, err = DecodeMembershipMsg(bytes.NewReader(raw))
+			return err
+		})
 	if err != nil {
 		return false, err
 	}
@@ -182,23 +167,11 @@ func (c *Cluster) announceLeave(ctx context.Context, view []MemberInfo) {
 		if sent >= c.cfg.GossipFanout {
 			break
 		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-		req, err := http.NewRequestWithContext(actx, http.MethodPost,
-			m.URL+LeavePath, bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		c.signRequest(req, body)
-		resp, err := c.client.Do(req)
-		cancel()
-		if err != nil {
+		if _, err := c.roundTrip(ctx, nil, http.MethodPost, m.URL, LeavePath,
+			body, jsonHeader(), maxMembershipBody, nil); err != nil {
 			c.log.Debug("leave announcement failed", "peer", m.URL, "err", err)
 			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 		sent++
 	}
 }

@@ -27,7 +27,10 @@
 // number of retries with jittered backoff, and a per-peer circuit
 // breaker that opens after consecutive failures (requests then skip the
 // peer entirely and fall back to local compression) and probes the peer
-// back to health after a cooldown. A breaker opening also feeds the
+// back to health after a cooldown. Every node-to-node request goes
+// through one round trip (roundTrip) that applies one rule: a transport
+// error, a 5xx or an unusable reply is a failure, and any other answer
+// proves the peer alive. A breaker opening also feeds the
 // failure detector: the peer is marked suspect immediately rather than
 // waiting out the full silence window.
 //
@@ -45,6 +48,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -385,6 +389,14 @@ func (c *Cluster) Owners(digest string) []string {
 	return c.ring.Load().Owners(digest, c.cfg.ReplicationFactor)
 }
 
+// remoteOwners returns digest's current replica set without this
+// instance, and whether this instance is in it.
+func (c *Cluster) remoteOwners(digest string) (remote []string, self bool) {
+	owners := c.Owners(digest)
+	remote = slices.DeleteFunc(owners, func(o string) bool { return o == c.self })
+	return remote, len(remote) < len(owners)
+}
+
 // ReplicationFactor returns the configured replica count per digest.
 func (c *Cluster) ReplicationFactor() int { return c.cfg.ReplicationFactor }
 
@@ -411,13 +423,6 @@ func (c *Cluster) breakerFor(url string) *breaker {
 		c.breakers[url] = b
 	}
 	return b
-}
-
-// noteSuccess records a completed exchange with a peer on its breaker
-// and the failure detector.
-func (c *Cluster) noteSuccess(url string, b *breaker) {
-	b.success()
-	c.members.ObserveAlive(url)
 }
 
 // noteFailure records a failed exchange; a breaker that opens marks the
@@ -524,7 +529,7 @@ func (c *Cluster) reassignHints(target string) {
 func (c *Cluster) refreshRing() {
 	c.ringMu.Lock()
 	live := c.members.Live()
-	if sameMembers(c.ring.Load().Members(), live) {
+	if slices.Equal(c.ring.Load().Members(), live) {
 		c.ringMu.Unlock()
 		return
 	}
@@ -536,18 +541,6 @@ func (c *Cluster) refreshRing() {
 	if cb := c.cfg.OnRingChange; cb != nil {
 		cb(epoch, live)
 	}
-}
-
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // membershipLoop is the gossip driver: an initial join burst to the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"crypto/sha256"
 	"log/slog"
 	"sort"
 	"sync"
@@ -302,28 +301,26 @@ func (c *compCache) compactLoop() {
 }
 
 // compactNow cuts a snapshot of the live entries, oldest first so replay
-// order preserves recency on the next boot.
+// order preserves recency on the next boot. Only the recency walk holds
+// the cache lock; the entries are marshalled after it is released (the
+// store lock still keeps appends out until the log reset).
 func (c *compCache) compactNow() error {
 	return c.store.compact(func() []storedEntry {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		out := make([]storedEntry, 0, len(c.entries))
 		type aged struct {
 			key   string
+			comp  *codepack.Compressed
 			stamp uint64
 		}
+		c.mu.Lock()
 		order := make([]aged, 0, len(c.entries))
 		for k, e := range c.entries {
-			order = append(order, aged{k, e.stamp})
+			order = append(order, aged{k, e.comp, e.stamp})
 		}
+		c.mu.Unlock()
 		sort.Slice(order, func(i, j int) bool { return order[i].stamp < order[j].stamp })
-		for _, a := range order {
-			payload := c.entries[a.key].comp.Marshal()
-			out = append(out, storedEntry{
-				key:     a.key,
-				payload: payload,
-				sum:     sha256.Sum256(payload),
-			})
+		out := make([]storedEntry, len(order))
+		for i, a := range order {
+			out[i] = storedEntry{key: a.key, payload: a.comp.Marshal()}
 		}
 		return out
 	})

@@ -52,12 +52,25 @@ type diskStore struct {
 	compactRatio    float64
 
 	mu        sync.Mutex
-	logFile   *os.File
-	logBytes  int64
+	logFile   logFile
+	logBytes  int64 // end of the last good record: where the next append goes
 	snapBytes int64
 	closed    bool
+	// broken is set when a failed append could not be cut back off the
+	// log: every later append is refused, because replay would stop at
+	// the torn frame and drop it.
+	broken error
 
 	stats storeStats
+}
+
+// logFile is the append log as the store uses it; *os.File satisfies
+// it, and tests substitute one that fails on cue.
+type logFile interface {
+	io.WriteSeeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
 }
 
 // storeStats counts persistence activity; read it via (*diskStore).statsSnapshot.
@@ -256,7 +269,8 @@ func encodeRecord(key string, payload []byte) []byte {
 }
 
 // append logs one entry. Errors are recorded and reported but the cache
-// keeps serving from memory: persistence is best-effort by design.
+// keeps serving from memory: persistence is best-effort by design. A
+// failed write is cut back off the log so later appends still replay.
 func (st *diskStore) append(key string, payload []byte) error {
 	if len(key) == 0 || len(key) > maxRecordKey {
 		return fmt.Errorf("store: bad key length %d", len(key))
@@ -267,13 +281,35 @@ func (st *diskStore) append(key string, payload []byte) error {
 	if st.closed {
 		return errors.New("store: closed")
 	}
-	n, err := st.logFile.Write(rec)
-	st.logBytes += int64(n)
 	st.stats.Appends++
-	if err != nil {
-		st.stats.AppendErrors++
-		return fmt.Errorf("store: append: %w", err)
+	err := st.broken
+	if err == nil {
+		var n int
+		if n, err = st.logFile.Write(rec); err == nil {
+			st.logBytes += int64(n)
+			return nil
+		}
+		err = errors.Join(err, st.rewind(st.logBytes))
 	}
+	st.stats.AppendErrors++
+	return fmt.Errorf("store: append: %w", err)
+}
+
+// rewind truncates the log to off and moves the write offset there. If
+// either step fails, the log's tail is unknown and the store stops
+// appending; a later successful rewind (the next compaction's log
+// reset) lifts that.
+func (st *diskStore) rewind(off int64) error {
+	err := st.logFile.Truncate(off)
+	if err == nil {
+		_, err = st.logFile.Seek(off, io.SeekStart)
+	}
+	if err != nil {
+		st.broken = fmt.Errorf("log unusable after a failed rewind: %w", err)
+		return st.broken
+	}
+	st.logBytes = off
+	st.broken = nil
 	return nil
 }
 
@@ -335,13 +371,9 @@ func (st *diskStore) compact(collect func() []storedEntry) error {
 	syncDir(st.dir)
 
 	// The snapshot now covers everything; restart the log.
-	if err := st.logFile.Truncate(int64(len(storeMagic))); err != nil {
+	if err := st.rewind(int64(len(storeMagic))); err != nil {
 		return fmt.Errorf("store: reset log: %w", err)
 	}
-	if _, err := st.logFile.Seek(int64(len(storeMagic)), io.SeekStart); err != nil {
-		return fmt.Errorf("store: seek log: %w", err)
-	}
-	st.logBytes = int64(len(storeMagic))
 	st.snapBytes = written
 	st.stats.Compactions++
 	return nil

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"syscall"
 	"testing"
 )
 
@@ -309,4 +311,126 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// faultyLog wraps the store's log file and fails on cue: a short write
+// that stores k bytes and then reports ENOSPC, a failing Sync, and a
+// failing Truncate.
+type faultyLog struct {
+	logFile
+	shortWrite   int // >0: the next Write stores this many bytes, then fails
+	failSync     bool
+	failTruncate bool
+}
+
+func (f *faultyLog) Write(p []byte) (int, error) {
+	if f.shortWrite > 0 {
+		n, _ := f.logFile.Write(p[:min(f.shortWrite, len(p))])
+		f.shortWrite = 0
+		return n, syscall.ENOSPC
+	}
+	return f.logFile.Write(p)
+}
+
+func (f *faultyLog) Sync() error {
+	if f.failSync {
+		return syscall.EIO
+	}
+	return f.logFile.Sync()
+}
+
+func (f *faultyLog) Truncate(size int64) error {
+	if f.failTruncate {
+		return syscall.EIO
+	}
+	return f.logFile.Truncate(size)
+}
+
+// injectFaults swaps a faultyLog in for st's log file.
+func injectFaults(st *diskStore) *faultyLog {
+	f := &faultyLog{logFile: st.logFile}
+	st.logFile = f
+	return f
+}
+
+// TestStoreFailedAppendKeepsLaterRecords: a short write (ENOSPC part
+// way through a frame) must not leave a torn frame in the log, or
+// replay would stop there and drop every record appended after it.
+func TestStoreFailedAppendKeepsLaterRecords(t *testing.T) {
+	for _, k := range []int{1, recordHeader, recordHeader + 7} {
+		dir := t.TempDir()
+		st, _ := openTestStore(t, dir)
+		faults := injectFaults(st)
+		if err := st.append("before", []byte("acknowledged before the fault")); err != nil {
+			t.Fatal(err)
+		}
+		faults.shortWrite = k
+		if err := st.append("torn", []byte("this append runs out of space")); err == nil {
+			t.Fatalf("k=%d: short write reported no error", k)
+		}
+		for _, key := range []string{"after1", "after2"} {
+			if err := st.append(key, []byte("acknowledged after the fault")); err != nil {
+				t.Fatalf("k=%d: append after a recovered fault: %v", k, err)
+			}
+		}
+		if ss := st.statsSnapshot(); ss.AppendErrors != 1 {
+			t.Errorf("k=%d: append_errors = %d, want 1", k, ss.AppendErrors)
+		}
+		if err := st.close(); err != nil {
+			t.Fatal(err)
+		}
+		_, entries := openTestStore(t, dir)
+		got := entryKeys(entries)
+		if want := []string{"before", "after1", "after2"}; !slices.Equal(got, want) {
+			t.Errorf("k=%d: reopen restored %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestStoreRefusesAppendsWhenRewindFails: if the torn frame cannot be
+// cut back off, the store stops appending rather than acknowledge
+// records that replay would drop, and counts each refusal.
+func TestStoreRefusesAppendsWhenRewindFails(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openTestStore(t, dir)
+	faults := injectFaults(st)
+	if err := st.append("before", []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	faults.shortWrite, faults.failTruncate = 5, true
+	if err := st.append("torn", []byte("lost")); err == nil {
+		t.Fatal("short write reported no error")
+	}
+	faults.failTruncate = false
+	if err := st.append("refused", []byte("never acknowledged")); err == nil {
+		t.Fatal("append after a failed rewind was acknowledged")
+	}
+	if ss := st.statsSnapshot(); ss.AppendErrors != 2 {
+		t.Errorf("append_errors = %d, want 2 (the fault and the refusal)", ss.AppendErrors)
+	}
+	st.close()
+	_, entries := openTestStore(t, dir)
+	if got := entryKeys(entries); !slices.Equal(got, []string{"before"}) {
+		t.Errorf("reopen restored %v, want [before]", got)
+	}
+}
+
+// TestStoreSyncFailureReported: a failing fsync on close is reported,
+// and every record appended before it is still restored.
+func TestStoreSyncFailureReported(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openTestStore(t, dir)
+	injectFaults(st).failSync = true
+	for _, key := range []string{"a", "b"} {
+		if err := st.append(key, []byte("payload "+key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.close(); err == nil {
+		t.Error("close hid a failed sync")
+	}
+	_, entries := openTestStore(t, dir)
+	if got := entryKeys(entries); !slices.Equal(got, []string{"a", "b"}) {
+		t.Errorf("reopen restored %v, want [a b]", got)
+	}
 }
