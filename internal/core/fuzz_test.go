@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,10 @@ import (
 // exactly when a rescan with the reference walker accepts, an accepted
 // image's block extents and byte-arrival tables must equal the reference
 // rescan's, and anything it accepts must decompress like the reference
-// walker decompresses it.
+// walker decompresses it. An accepted image must also marshal back to
+// exactly the bytes it was parsed from, in a buffer with no spare
+// capacity: that is what lets a holder of received bytes keep them as
+// the program's canonical form.
 func FuzzUnmarshalCompressed(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	good, err := CompressWords("seed", isa.TextBase, synthText(rng, 128))
@@ -37,6 +41,10 @@ func FuzzUnmarshalCompressed(f *testing.F) {
 		c := checkRescanMatchesReference(t, data)
 		if c == nil {
 			return
+		}
+		if m := c.Marshal(); !bytes.Equal(m, data) || cap(m) != len(m) {
+			t.Fatalf("Marshal of an accepted image: %d bytes (cap %d), equal=%v; parsed from %d bytes",
+				len(m), cap(m), bytes.Equal(m, data), len(data))
 		}
 		got, err := c.Decompress()
 		want, refErr := c.DecompressReference()

@@ -12,9 +12,20 @@ import (
 // packed index table, and the compressed region.
 const compMagic = 0x43504B31 // "CPK1"
 
-// Marshal serializes the compressed program.
+// compHeaderBytes is the seven little-endian words before the
+// dictionaries: magic, text base, instruction count and four lengths.
+const compHeaderBytes = 28
+
+// marshalledLen is the exact serialized size of a program with the
+// given dictionary, index-table and region lengths.
+func marshalledLen(nHigh, nLow, nIdx, nRegion int) int {
+	return compHeaderBytes + 2*(nHigh+nLow) + 4*nIdx + nRegion
+}
+
+// Marshal serializes the compressed program into a buffer of exactly
+// its length, so a caller that keeps the bytes keeps no spare capacity.
 func (c *Compressed) Marshal() []byte {
-	var b []byte
+	b := make([]byte, 0, marshalledLen(c.High.Len(), c.Low.Len(), len(c.Index), len(c.Region)))
 	put := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
 	put(compMagic)
 	put(c.TextBase)
@@ -53,7 +64,7 @@ func UnmarshalCompressed(name string, b []byte) (*Compressed, error) {
 // parseCompressed decodes the header, dictionaries, index table and
 // region of a serialized image, leaving the block metadata unbuilt.
 func parseCompressed(name string, b []byte) (*Compressed, error) {
-	if len(b) < 28 || binary.LittleEndian.Uint32(b) != compMagic {
+	if len(b) < compHeaderBytes || binary.LittleEndian.Uint32(b) != compMagic {
 		return nil, fmt.Errorf("core: bad compressed image header")
 	}
 	get := func(i int) uint32 { return binary.LittleEndian.Uint32(b[i*4:]) }
@@ -63,12 +74,12 @@ func parseCompressed(name string, b []byte) (*Compressed, error) {
 		NumInstr: int(get(2)),
 	}
 	nHigh, nLow, nIdx, nRegion := int(get(3)), int(get(4)), int(get(5)), int(get(6))
-	need := 28 + 2*(nHigh+nLow) + 4*nIdx + nRegion
+	need := marshalledLen(nHigh, nLow, nIdx, nRegion)
 	if len(b) != need {
 		return nil, fmt.Errorf("core: compressed image is %d bytes, header implies %d",
 			len(b), need)
 	}
-	off := 28
+	off := compHeaderBytes
 	readDict := func(n int) (*Dict, error) {
 		entries := make([]uint16, n)
 		for i := range entries {

@@ -15,11 +15,11 @@ func TestRecorderQuantiles(t *testing.T) {
 			r.Observe(d)
 		}
 	}
-	add(5000, 1*time.Millisecond)   // ranks 1..5000
-	add(4000, 10*time.Millisecond)  // ranks 5001..9000
-	add(900, 100*time.Millisecond)  // ranks 9001..9900
-	add(99, 1*time.Second)          // ranks 9901..9999
-	add(1, 10*time.Second)          // rank 10000
+	add(5000, 1*time.Millisecond)  // ranks 1..5000
+	add(4000, 10*time.Millisecond) // ranks 5001..9000
+	add(900, 100*time.Millisecond) // ranks 9001..9900
+	add(99, 1*time.Second)         // ranks 9901..9999
+	add(1, 10*time.Second)         // rank 10000
 
 	within := func(q float64, want time.Duration) {
 		t.Helper()

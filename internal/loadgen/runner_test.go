@@ -202,12 +202,12 @@ func TestRunServerDeltas(t *testing.T) {
 func TestRunValidates(t *testing.T) {
 	exec := execFunc(func(ctx context.Context, req Request) (int, error) { return 200, nil })
 	bad := []Options{
-		{Executor: exec, QPS: 100, Duration: time.Second},                               // no scenario
-		{Scenario: stubScenario{}, QPS: 100, Duration: time.Second},                     // no executor
-		{Scenario: stubScenario{}, Executor: exec, Duration: time.Second},               // no qps
-		{Scenario: stubScenario{}, Executor: exec, QPS: 100},                            // no duration
-		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: -1},              // negative
-		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: 1, Warmup: -1},   // negative
+		{Executor: exec, QPS: 100, Duration: time.Second},                             // no scenario
+		{Scenario: stubScenario{}, QPS: 100, Duration: time.Second},                   // no executor
+		{Scenario: stubScenario{}, Executor: exec, Duration: time.Second},             // no qps
+		{Scenario: stubScenario{}, Executor: exec, QPS: 100},                          // no duration
+		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: -1},            // negative
+		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: 1, Warmup: -1}, // negative
 		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: 1, Concurrency: -1},
 	}
 	for i, o := range bad {

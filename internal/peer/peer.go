@@ -85,9 +85,6 @@ type Config struct {
 	// joined. It may also include Self.
 	Peers []string
 
-	// Replicas is the virtual-node count per member (0 = DefaultReplicas).
-	Replicas int
-
 	// ReplicationFactor is how many distinct members own each digest
 	// (successor-list placement on the ring). 0 or 1 keeps the classic
 	// single-owner behaviour; higher values replicate writes to every
@@ -159,9 +156,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
-	}
 	if c.ReplicationFactor <= 0 {
 		c.ReplicationFactor = 1
 	}
@@ -368,7 +362,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		memDone:  make(chan struct{}),
 		hints:    newHintBuffer(defaultHandoffMaxRecords, defaultHandoffMaxBytes),
 	}
-	c.ring.Store(NewRing(members.Live(), cfg.Replicas))
+	c.ring.Store(NewRing(members.Live()))
 	c.replWG.Add(cfg.ReplicationWorkers)
 	for i := 0; i < cfg.ReplicationWorkers; i++ {
 		go c.replWorker()
@@ -533,7 +527,7 @@ func (c *Cluster) refreshRing() {
 		c.ringMu.Unlock()
 		return
 	}
-	c.ring.Store(NewRing(live, c.cfg.Replicas))
+	c.ring.Store(NewRing(live))
 	epoch := c.members.Version()
 	c.stats.ringChanges.Add(1)
 	c.ringMu.Unlock()

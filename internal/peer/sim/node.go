@@ -196,7 +196,7 @@ func (n *node) checkRing() {
 		return
 	}
 	n.ringVer = v
-	n.ring = peer.NewRing(n.mem.Live(), n.w.cfg.Replicas)
+	n.ring = peer.NewRing(n.mem.Live())
 	n.w.stats.RingChanges++
 	n.w.logf("ring %s %v", n.url, n.mem.Live())
 	incarn := n.incarn

@@ -40,9 +40,7 @@ type Config struct {
 	Nodes []string
 	Seeds map[string][]string
 
-	// Replicas is the ring's vnode count per member;
 	// ReplicationFactor is how many members hold each digest (R).
-	Replicas          int
 	ReplicationFactor int
 	HeartbeatInterval time.Duration
 	SuspectAfter      time.Duration
@@ -62,9 +60,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = peer.DefaultReplicas
-	}
 	if c.ReplicationFactor <= 0 {
 		c.ReplicationFactor = 1
 	}

@@ -169,7 +169,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	x.counter("cpackd_cache_evictions_total", "", cs.Evictions)
 	x.family("cpackd_cache_entries", "gauge", "Resident cache entries.")
 	x.gaugeInt("cpackd_cache_entries", "", int64(cs.Entries))
-	x.family("cpackd_cache_bytes", "gauge", "Resident compressed bytes.")
+	x.family("cpackd_cache_bytes", "gauge", "Resident .cpk bytes of the cached entries, headers included.")
 	x.gaugeInt("cpackd_cache_bytes", "", cs.Bytes)
 	x.family("cpackd_cache_unverified_entries", "gauge", "Quarantined replicated entries awaiting verification.")
 	x.gaugeInt("cpackd_cache_unverified_entries", "", int64(cs.Unverified))
@@ -337,6 +337,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		x.gaugeInt("cpackd_cache_persist_log_bytes", "", ss.LogBytes)
 		x.family("cpackd_cache_persist_snapshot_bytes", "gauge", "Last compacted snapshot size.")
 		x.gaugeInt("cpackd_cache_persist_snapshot_bytes", "", ss.SnapshotBytes)
+		refusing := int64(0)
+		if ss.Refusing {
+			refusing = 1
+		}
+		x.family("cpackd_cache_persist_refusing", "gauge", "1 while the cache log refuses appends after a failed rewind, until a compaction resets it.")
+		x.gaugeInt("cpackd_cache_persist_refusing", "", refusing)
 	}
 
 	if tenants := m.tenantNames(); len(tenants) > 0 {

@@ -27,16 +27,17 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wf := wireOf(comp)
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	fills := 0
 	go func() {
-		g.do(context.Background(), "k", func(context.Context) (*codepack.Compressed, bool, *httpError) {
+		g.do(context.Background(), "k", func(context.Context) (wireForm, bool, *httpError) {
 			close(entered)
 			<-release
 			fills++
-			return comp, false, nil
+			return wf, false, nil
 		})
 	}()
 	<-entered // the leader is inside its fill
@@ -51,14 +52,14 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			defer wg.Done()
 			arrived <- struct{}{}
 			got, cached, follower, herr := g.do(context.Background(), "k",
-				func(context.Context) (*codepack.Compressed, bool, *httpError) {
+				func(context.Context) (wireForm, bool, *httpError) {
 					t.Error("follower ran its own fill")
-					return nil, false, nil
+					return wireForm{}, false, nil
 				})
 			if herr != nil {
 				t.Errorf("follower %d: %v", i, herr)
 			}
-			if got != comp {
+			if !bytes.Equal(got.wire, wf.wire) {
 				t.Errorf("follower %d got a different result", i)
 			}
 			if !cached {
@@ -87,7 +88,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 
 	// The key is released: the next do is a fresh leader.
 	_, _, follower, _ := g.do(context.Background(), "k",
-		func(context.Context) (*codepack.Compressed, bool, *httpError) { return comp, true, nil })
+		func(context.Context) (wireForm, bool, *httpError) { return wf, true, nil })
 	if follower {
 		t.Error("post-flight call still reported as follower")
 	}
@@ -101,10 +102,10 @@ func TestFlightGroupFollowerCancel(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	go func() {
-		g.do(context.Background(), "k", func(context.Context) (*codepack.Compressed, bool, *httpError) {
+		g.do(context.Background(), "k", func(context.Context) (wireForm, bool, *httpError) {
 			close(entered)
 			<-release
-			return nil, false, nil
+			return wireForm{}, false, nil
 		})
 	}()
 	<-entered
@@ -112,7 +113,7 @@ func TestFlightGroupFollowerCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, follower, herr := g.do(ctx, "k",
-		func(context.Context) (*codepack.Compressed, bool, *httpError) { return nil, false, nil })
+		func(context.Context) (wireForm, bool, *httpError) { return wireForm{}, false, nil })
 	if !follower {
 		t.Error("cancelled waiter not reported as follower")
 	}

@@ -1,8 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"log/slog"
-	"sort"
+	"slices"
 	"sync"
 
 	"codepack"
@@ -10,7 +11,12 @@ import (
 
 // compCache is the content-addressed compression cache: SHA-256 digest of
 // the marshalled program image -> its compressed form, so repeat
-// compressions of the same image are served from memory. Eviction reuses
+// compressions of the same image are served from memory. An entry holds
+// only the program's .cpk bytes and the statistics taken when they were
+// built, as CodePack holds a program: compressed until it is fetched.
+// Responses, peer payloads and the durable store all use those bytes
+// as they are, and only a caller that needs the object graph (a
+// compressed-fetch simulation) parses them back. Eviction reuses
 // the timestamp-scan LRU idiom of internal/cache: every entry carries the
 // clock value of its last touch and the victim scan picks the minimum.
 // The scan is O(entries) per eviction, which at service cache sizes
@@ -32,7 +38,7 @@ type compCache struct {
 	entries map[string]*compEntry
 
 	hits, misses, evictions uint64
-	bytes                   int64
+	bytes                   int64 // sum of len(wire) over resident entries
 
 	// Persistence (nil store = memory only).
 	store     *diskStore
@@ -43,10 +49,18 @@ type compCache struct {
 	closeOnce sync.Once
 }
 
+// wireForm is a compressed program as the cache keeps it: its exact-size
+// .cpk bytes (codepack's Marshal format) and the statistics taken when
+// they were built or last parsed. Neither changes once cached, so the
+// bytes are shared with every reader and never written.
+type wireForm struct {
+	wire  []byte
+	stats codepack.Stats
+}
+
 type compEntry struct {
-	comp  *codepack.Compressed
+	wireForm
 	stamp uint64
-	bytes int64
 
 	// verified marks entries whose payload is known to decompress to
 	// the program their digest names: everything compressed locally or
@@ -103,8 +117,9 @@ func (c *compCache) attachStore(st *diskStore, recovered []storedEntry, logger *
 			continue
 		}
 		// Only verified entries are persisted, so restored entries are
-		// trusted as verified.
-		c.putMem(e.key, comp, true)
+		// trusted as verified. The record's payload is an exact-size
+		// copy, kept as the entry's bytes.
+		c.putMem(e.key, wireForm{e.payload, comp.Stats()}, true)
 		restored++
 	}
 	c.store = st
@@ -115,27 +130,12 @@ func (c *compCache) attachStore(st *diskStore, recovered []storedEntry, logger *
 	return restored
 }
 
-func (c *compCache) get(key string) (*codepack.Compressed, bool) {
-	comp, _, ok := c.getEntry(key)
-	return comp, ok
-}
-
-// getEntry is get plus the entry's verification state; callers holding
-// the program the digest names use it to prove quarantined replicas
-// before trusting them.
-func (c *compCache) getEntry(key string) (comp *codepack.Compressed, verified, ok bool) {
-	return c.lookup(key, true)
-}
-
-// recheck is getEntry without the miss accounting: the singleflight
-// leader re-probes the cache after acquiring the flight key, and that
-// probe must not count the same request's miss twice. A hit still
-// counts (the fill was satisfied from memory after all).
-func (c *compCache) recheck(key string) (comp *codepack.Compressed, verified, ok bool) {
-	return c.lookup(key, false)
-}
-
-func (c *compCache) lookup(key string, countMiss bool) (comp *codepack.Compressed, verified, ok bool) {
+// lookup returns the entry cached under key and whether it is verified
+// (callers holding the program the digest names prove quarantined
+// replicas before trusting them). countMiss is false for the
+// singleflight leader's re-probe, whose request already counted its
+// miss; a hit always counts.
+func (c *compCache) lookup(key string, countMiss bool) (wf wireForm, verified, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -143,40 +143,40 @@ func (c *compCache) lookup(key string, countMiss bool) (comp *codepack.Compresse
 		if countMiss {
 			c.misses++
 		}
-		return nil, false, false
+		return wireForm{}, false, false
 	}
 	c.hits++
 	c.clock++
 	e.stamp = c.clock
-	return e.comp, e.verified, true
+	return e.wireForm, e.verified, true
 }
 
-func (c *compCache) put(key string, comp *codepack.Compressed) {
-	if !c.putMem(key, comp, true) {
+func (c *compCache) put(key string, wf wireForm) {
+	if !c.putMem(key, wf, true) {
 		return
 	}
-	c.persist(key, comp)
+	c.persist(key, wf.wire)
 }
 
 // putReplicated quarantines an entry pushed by a peer: resident and
 // servable to other peers, but unverified — never persisted and never
 // trusted by a local request until confirm proves it.
-func (c *compCache) putReplicated(key string, comp *codepack.Compressed) {
-	c.putMem(key, comp, false)
+func (c *compCache) putReplicated(key string, wf wireForm) {
+	c.putMem(key, wf, false)
 }
 
 // confirm marks a quarantined entry as verified (the caller has proved
 // its payload against the program) and persists it.
 func (c *compCache) confirm(key string) {
 	c.mu.Lock()
-	var comp *codepack.Compressed
+	var wire []byte
 	if e, ok := c.entries[key]; ok && !e.verified {
 		e.verified = true
-		comp = e.comp
+		wire = e.wire
 	}
 	c.mu.Unlock()
-	if comp != nil {
-		c.persist(key, comp)
+	if wire != nil {
+		c.persist(key, wire)
 	}
 }
 
@@ -186,20 +186,21 @@ func (c *compCache) drop(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
-		c.bytes -= e.bytes
+		c.bytes -= int64(len(e.wire))
 		delete(c.entries, key)
 	}
 }
 
 // persist appends one verified entry to the durable store, outside the
-// cache lock: a slow disk must not block gets.
-func (c *compCache) persist(key string, comp *codepack.Compressed) {
+// cache lock: a slow disk must not block gets. A store that refuses
+// appends also signals the compactor, whose log reset is what lifts the
+// refusal.
+func (c *compCache) persist(key string, wire []byte) {
 	if c.store == nil {
 		return
 	}
-	if err := c.store.append(key, comp.Marshal()); err != nil {
+	if err := c.store.append(key, wire); err != nil {
 		c.log.Warn("cache persist failed", "key", key, "err", err)
-		return
 	}
 	if c.store.needCompact() {
 		select {
@@ -209,11 +210,12 @@ func (c *compCache) persist(key string, comp *codepack.Compressed) {
 	}
 }
 
-// putMem inserts into the in-memory map and reports whether key was newly
-// added (false for refreshes of a resident entry and for a disabled cache).
-// Refreshing an entry never downgrades it: a verified entry stays verified
-// even if a peer replicates the same digest again.
-func (c *compCache) putMem(key string, comp *codepack.Compressed, verified bool) bool {
+// putMem inserts into the in-memory map and reports whether the entry
+// needs persisting: newly added as verified, or a quarantined entry
+// replaced by a verified form (false for other refreshes and for a
+// disabled cache). Refreshing an entry never downgrades it: a verified
+// entry stays as it is even if a peer replicates the same digest again.
+func (c *compCache) putMem(key string, wf wireForm, verified bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 {
@@ -222,8 +224,14 @@ func (c *compCache) putMem(key string, comp *codepack.Compressed, verified bool)
 	if e, ok := c.entries[key]; ok {
 		c.clock++
 		e.stamp = c.clock
-		e.verified = e.verified || verified
-		return false
+		if !verified || e.verified {
+			return false
+		}
+		// The quarantined bytes were never proven; the verified form
+		// replaces them rather than inheriting their trust.
+		c.bytes += int64(len(wf.wire) - len(e.wire))
+		e.wireForm, e.verified = wf, true
+		return true
 	}
 	if len(c.entries) >= c.cap {
 		var victim string
@@ -234,36 +242,30 @@ func (c *compCache) putMem(key string, comp *codepack.Compressed, verified bool)
 				victim, oldest, first = k, e.stamp, false
 			}
 		}
-		c.bytes -= c.entries[victim].bytes
+		c.bytes -= int64(len(c.entries[victim].wire))
 		delete(c.entries, victim)
 		c.evictions++
 	}
 	c.clock++
-	bytes := int64(comp.Stats().CompressedBytes())
-	c.entries[key] = &compEntry{comp: comp, stamp: c.clock, bytes: bytes, verified: verified}
-	c.bytes += bytes
-	return true
+	c.entries[key] = &compEntry{wireForm: wf, stamp: c.clock, verified: verified}
+	c.bytes += int64(len(wf.wire))
+	return verified
 }
 
-// payload returns the marshalled bytes cached under key for the peer
+// payload returns the .cpk bytes cached under key for the peer
 // protocol — quarantined entries included, since the requesting peer
 // verifies payloads against its own program. It refreshes recency but
 // does not count toward hit/miss rates (peer traffic would skew them).
 func (c *compCache) payload(key string) ([]byte, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	var comp *codepack.Compressed
-	if ok {
-		c.clock++
-		e.stamp = c.clock
-		comp = e.comp
-	}
-	c.mu.Unlock()
-	if comp == nil {
+	if !ok {
 		return nil, false
 	}
-	// Marshal outside the lock: payloads can be large.
-	return comp.Marshal(), true
+	c.clock++
+	e.stamp = c.clock
+	return e.wire, true
 }
 
 // has reports residency with no side effects (anti-entropy offers).
@@ -301,27 +303,19 @@ func (c *compCache) compactLoop() {
 }
 
 // compactNow cuts a snapshot of the live entries, oldest first so replay
-// order preserves recency on the next boot. Only the recency walk holds
-// the cache lock; the entries are marshalled after it is released (the
-// store lock still keeps appends out until the log reset).
+// order preserves recency on the next boot. The entries' bytes are the
+// records' payloads, so the cache lock is held only for the walk.
 func (c *compCache) compactNow() error {
 	return c.store.compact(func() []storedEntry {
-		type aged struct {
-			key   string
-			comp  *codepack.Compressed
-			stamp uint64
-		}
 		c.mu.Lock()
-		order := make([]aged, 0, len(c.entries))
+		defer c.mu.Unlock()
+		out := make([]storedEntry, 0, len(c.entries))
 		for k, e := range c.entries {
-			order = append(order, aged{k, e.comp, e.stamp})
+			out = append(out, storedEntry{key: k, payload: e.wire})
 		}
-		c.mu.Unlock()
-		sort.Slice(order, func(i, j int) bool { return order[i].stamp < order[j].stamp })
-		out := make([]storedEntry, len(order))
-		for i, a := range order {
-			out[i] = storedEntry{key: a.key, payload: a.comp.Marshal()}
-		}
+		slices.SortFunc(out, func(a, b storedEntry) int {
+			return cmp.Compare(c.entries[a.key].stamp, c.entries[b.key].stamp)
+		})
 		return out
 	})
 }

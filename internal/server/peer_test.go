@@ -124,7 +124,7 @@ func compressImageOn(t *testing.T, url string, im *codepack.Image) CompressRespo
 // peer hit with zero recompression.
 func TestPeerWarmTierHit(t *testing.T) {
 	_, _, urlA, urlB := startPair(t, Config{}, Config{})
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlA)
 
 	first := compressImageOn(t, urlA, im)
@@ -148,7 +148,7 @@ func TestPeerWarmTierHit(t *testing.T) {
 // served locally (verified at use) without a peer fetch.
 func TestPeerReplication(t *testing.T) {
 	_, sb, urlA, urlB := startPair(t, Config{}, Config{})
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlB) // owned by B, compressed on A
 
 	if resp := compressImageOn(t, urlA, im); resp.Cached {
@@ -189,7 +189,7 @@ func TestPeerDownDegrades(t *testing.T) {
 
 	// Several distinct misses owned by the dead member: enough to trip
 	// the two-failure breaker, with every request still succeeding.
-	ring := peer.NewRing([]string{urlDead, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlDead, urlB})
 	seen := 0
 	for i := 0; seen < 4 && i < 10_000; i++ {
 		im, err := codepack.Assemble(fmt.Sprintf("down%d", i),
@@ -251,7 +251,7 @@ func TestPeerPoisonRejected(t *testing.T) {
 	}
 	startOn(t, sb, lnB)
 
-	ring := peer.NewRing([]string{evil.URL, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{evil.URL, urlB})
 	im := imageOwnedBy(t, ring, evil.URL)
 	resp := compressImageOn(t, urlB, im)
 	if resp.Cached {
@@ -267,12 +267,8 @@ func TestPeerPoisonRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := codepack.UnmarshalCompressed(im.Name, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !compMatchesImage(comp, im) {
-		t.Error("response payload does not decompress to the requested program")
+	if _, err := proveWire(raw, im); err != nil {
+		t.Errorf("response payload does not decompress to the requested program: %v", err)
 	}
 }
 
@@ -281,7 +277,7 @@ func TestPeerPoisonRejected(t *testing.T) {
 // moment a request proves it false — it is never served.
 func TestPeerQuarantineVerifyAtUse(t *testing.T) {
 	_, sb, urlA, urlB := startPair(t, Config{}, Config{})
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlB)
 	digest := codepack.ImageDigest(im)
 
@@ -324,12 +320,8 @@ func TestPeerQuarantineVerifyAtUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := codepack.UnmarshalCompressed(im.Name, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !compMatchesImage(comp, im) {
-		t.Error("response payload does not decompress to the requested program")
+	if _, err := proveWire(raw, im); err != nil {
+		t.Errorf("response payload does not decompress to the requested program: %v", err)
 	}
 }
 
@@ -339,7 +331,7 @@ func TestPeerAntiEntropy(t *testing.T) {
 	dir := t.TempDir()
 	lnA, urlA := reserveURL(t)
 	lnB, urlB := reserveURL(t)
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlB)
 
 	// First life: A standalone with a durable cache; the entry lands on
@@ -518,7 +510,7 @@ func TestPeerReplicaFallthroughOnBreakerOpen(t *testing.T) {
 	}
 	startOn(t, sb, lnB)
 
-	ring := peer.NewRing([]string{urlDead, urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlDead, urlA, urlB})
 	im1 := imageWithOwners(t, ring, "ft-a", 0, urlDead, urlA)
 	im2 := imageWithOwners(t, ring, "ft-b", 5_000, urlDead, urlA)
 
@@ -592,13 +584,13 @@ func TestPeerReadRepairConvergesLaggingReplica(t *testing.T) {
 
 	// A digest owned by [A, B]: seed only B, so the primary replica A
 	// lags behind its successor.
-	ring := peer.NewRing([]string{urlA, urlB, urlC}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB, urlC})
 	im := imageWithOwners(t, ring, "rr", 0, urlA, urlB)
 	comp, err := codepack.Compress(im)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb.cache.put(codepack.ImageDigest(im), comp)
+	sb.cache.put(codepack.ImageDigest(im), wireOf(comp))
 	if got := sa.cache.stats().Entries; got != 0 {
 		t.Fatalf("primary replica already holds %d entries before the fetch", got)
 	}

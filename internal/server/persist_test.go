@@ -1,15 +1,18 @@
 package server
 
 import (
+	"encoding/base64"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"codepack"
+	"codepack/internal/peer"
 )
 
 // TestRestartRecoversCache is the end-to-end restart round trip: populate
@@ -120,12 +123,12 @@ func TestPersistedCacheRespectsCapacity(t *testing.T) {
 	}
 	// The two oldest records are the evicted ones.
 	for _, k := range keys[:2] {
-		if _, ok := c.get(k); ok {
+		if _, _, ok := c.lookup(k, true); ok {
 			t.Errorf("oldest key %s survived past capacity", k)
 		}
 	}
 	for _, k := range keys[2:] {
-		if _, ok := c.get(k); !ok {
+		if _, _, ok := c.lookup(k, true); !ok {
 			t.Errorf("recent key %s missing after restore", k)
 		}
 	}
@@ -146,8 +149,8 @@ func TestCompCacheStressRace(t *testing.T) {
 	pool := make([]compEntrySeed, distinct)
 	for i := range pool {
 		pool[i] = compEntrySeed{
-			key:  fmt.Sprintf("stress-%02d", i),
-			comp: makeComp(t, uint32(i+1)),
+			key: fmt.Sprintf("stress-%02d", i),
+			wf:  makeWire(t, uint32(i+1)),
 		}
 	}
 
@@ -164,9 +167,9 @@ func TestCompCacheStressRace(t *testing.T) {
 				e := pool[rng.Intn(distinct)]
 				switch i % 3 {
 				case 0:
-					c.put(e.key, e.comp)
+					c.put(e.key, e.wf)
 				case 1:
-					c.get(e.key)
+					c.lookup(e.key, true)
 				default:
 					c.stats()
 				}
@@ -207,6 +210,105 @@ func TestCompCacheStressRace(t *testing.T) {
 // compEntrySeed pairs a key with a prebuilt compressed program for the
 // stress test.
 type compEntrySeed struct {
-	key  string
-	comp *codepack.Compressed
+	key string
+	wf  wireForm
+}
+
+// TestStoreRefusalLiftedByCompaction: once a failed append cannot be cut
+// back off the log, the store refuses appends and shows it as
+// cpackd_cache_persist_refusing. The refusal signals the compactor, and
+// the first compaction whose log reset succeeds on a healthy file lifts
+// it without a restart; every entry survives the episode.
+func TestStoreRefusalLiftedByCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{CacheDir: dir})
+	st := s.cache.store
+	st.mu.Lock()
+	faults := injectFaults(st)
+	faults.shortWrite, faults.failTruncate = 5, true
+	st.mu.Unlock()
+	var ims []*codepack.Image
+	for seed := 1; seed <= 3; seed++ {
+		ims = append(ims, poolProgram(seed, 256))
+	}
+
+	// The torn append cannot be rewound. The compaction it signals
+	// installs a snapshot and then fails the same rewind.
+	compressImageOn(t, ts.URL, ims[0])
+	waitFor(t, func() bool {
+		_, err := os.Stat(filepath.Join(dir, snapFileName))
+		return err == nil
+	})
+	st.mu.Lock() // waits out that compaction
+	faults.failTruncate = false
+	st.mu.Unlock()
+	if got := scrapeMetric(t, ts, "cpackd_cache_persist_refusing"); got != 1 {
+		t.Fatalf("cpackd_cache_persist_refusing = %v after a failed rewind, want 1", got)
+	}
+
+	// Refused, but the refusal signals a compaction, whose log reset now
+	// succeeds.
+	compressImageOn(t, ts.URL, ims[1])
+	if ss := st.statsSnapshot(); ss.AppendErrors != 2 {
+		t.Fatalf("append_errors = %d, want 2 (the fault and the refusal)", ss.AppendErrors)
+	}
+	waitFor(t, func() bool { return !st.statsSnapshot().Refusing })
+	if got := scrapeMetric(t, ts, "cpackd_cache_persist_refusing"); got != 0 {
+		t.Errorf("cpackd_cache_persist_refusing = %v after a successful log reset, want 0", got)
+	}
+
+	// Appends resume.
+	before := st.statsSnapshot()
+	compressImageOn(t, ts.URL, ims[2])
+	if ss := st.statsSnapshot(); ss.Appends != before.Appends+1 || ss.AppendErrors != before.AppendErrors {
+		t.Errorf("append after recovery: appends %d -> %d, errors %d -> %d; want one clean append",
+			before.Appends, ss.Appends, before.AppendErrors, ss.AppendErrors)
+	}
+	ts.Close()
+	s.Close()
+	_, entries := openTestStore(t, dir)
+	got := entryKeys(entries)
+	for _, im := range ims {
+		if !slices.Contains(got, codepack.ImageDigest(im)) {
+			t.Errorf("entry %s lost across the refusal", im.Name)
+		}
+	}
+}
+
+// TestCompressResponseBytes pins the bytes clients are served: however
+// an entry reached the cache — a local compression, a hit, a restore
+// from -cache-dir or a peer's payload — compressed_b64 is exactly what
+// codepack.Compress marshals for the program.
+func TestCompressResponseBytes(t *testing.T) {
+	_, _, urlA, urlB := startPair(t, Config{}, Config{})
+	im := imageOwnedBy(t, peer.NewRing([]string{urlA, urlB}), urlA)
+	comp, err := codepack.Compress(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := base64.StdEncoding.EncodeToString(comp.Marshal())
+	check := func(how string, resp CompressResponse, wantCached bool) {
+		t.Helper()
+		if resp.Cached != wantCached {
+			t.Errorf("%s: cached = %v, want %v", how, resp.Cached, wantCached)
+		}
+		if resp.CompressedB64 != want {
+			t.Errorf("%s: compressed_b64 differs from codepack.Compress(im).Marshal()", how)
+		}
+	}
+
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{CacheDir: dir})
+	check("miss", compressImageOn(t, ts1.URL, im), false)
+	check("hit", compressImageOn(t, ts1.URL, im), true)
+	ts1.Close()
+	s1.Close()
+	_, ts2 := newTestServer(t, Config{CacheDir: dir})
+	check("restored from -cache-dir", compressImageOn(t, ts2.URL, im), true)
+
+	check("owner miss", compressImageOn(t, urlA, im), false)
+	check("peer hit", compressImageOn(t, urlB, im), true)
+	if got := metricValue(t, scrapeURL(t, urlB), "cpackd_peer_hits_total"); got != 1 {
+		t.Errorf("cpackd_peer_hits_total on the second node = %v, want 1", got)
+	}
 }

@@ -38,6 +38,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -189,10 +190,10 @@ func (c Config) withDefaults() Config {
 // Server is the cpackd HTTP service. Create with New, expose via Handler,
 // and Close on shutdown to drain in-flight work.
 type Server struct {
-	cfg     Config
-	log     *slog.Logger
-	light   *pool
-	heavy   *pool
+	cfg      Config
+	log      *slog.Logger
+	light    *pool
+	heavy    *pool
 	cache    *compCache
 	suite    *harness.Suite
 	metrics  *metrics
@@ -380,9 +381,7 @@ func (s *Server) antiEntropyLoop(ctx context.Context, trigger <-chan uint64) {
 				trace.Int("digests", len(digests)))
 			root.SetAttr("epoch", epoch)
 		}
-		s.cluster.AntiEntropy(actx, digests, func(d string) ([]byte, bool) {
-			return s.cache.payload(d)
-		})
+		s.cluster.AntiEntropy(actx, digests, s.cache.payload)
 		root.End()
 		s.metrics.aePasses.add(1)
 		st := s.cluster.Stats()
@@ -414,13 +413,15 @@ func (ps peerSource) Payload(digest string) ([]byte, bool) {
 
 // Accept quarantines a replicated payload: it must parse as a
 // compressed program now, and a local request must verify it against
-// the actual program before it is ever served to a client.
+// the actual program before it is ever served to a client. The entry
+// keeps an exact-size copy of the payload: the request body was read
+// into a buffer that can be up to twice its length.
 func (ps peerSource) Accept(digest string, payload []byte) error {
 	comp, err := codepack.UnmarshalCompressed("replicated", payload)
 	if err != nil {
 		return err
 	}
-	ps.s.cache.putReplicated(digest, comp)
+	ps.s.cache.putReplicated(digest, wireForm{bytes.Clone(payload), comp.Stats()})
 	return nil
 }
 
@@ -447,9 +448,7 @@ func (s *Server) Close() {
 		// answer: hand every locally held digest to its post-departure
 		// owner and announce the leave, so warm state survives the exit.
 		lctx, lcancel := context.WithTimeout(context.Background(), DefaultRequestTimeout)
-		s.cluster.Leave(lctx, s.cache.keys(), func(d string) ([]byte, bool) {
-			return s.cache.payload(d)
-		})
+		s.cluster.Leave(lctx, s.cache.keys(), s.cache.payload)
 		lcancel()
 	}
 	if s.peerCancel != nil {
@@ -881,18 +880,18 @@ func (s *Server) resolveImage(ctx context.Context, ref ProgramRef) (*codepack.Im
 // into one fill. cached reports whether the response was served without
 // running a compression here (a cache hit, a peer hit, or riding a
 // coalesced in-flight fill).
-func (s *Server) compressImage(ctx context.Context, im *codepack.Image) (comp *codepack.Compressed, digest string, cached bool, herr *httpError) {
+func (s *Server) compressImage(ctx context.Context, im *codepack.Image) (wf wireForm, digest string, cached bool, herr *httpError) {
 	digest = codepack.Digest(im.Marshal())
 	_, ls := trace.Start(ctx, "cache-lookup", trace.String("digest", digest[:12]))
-	c, ok := s.cachedVerified(digest, im, false)
+	wf, ok := s.cachedVerified(digest, im, true)
 	if ok {
 		ls.SetAttr("outcome", "hit")
 		ls.End()
-		return c, digest, true, nil
+		return wf, digest, true, nil
 	}
 	ls.SetAttr("outcome", "miss")
 	ls.End()
-	c, cached, follower, herr := s.flights.do(ctx, digest, func(fctx context.Context) (*codepack.Compressed, bool, *httpError) {
+	wf, cached, follower, herr := s.flights.do(ctx, digest, func(fctx context.Context) (wireForm, bool, *httpError) {
 		fctx, fs := trace.Start(fctx, "fill")
 		defer fs.End()
 		return s.fillMiss(fctx, digest, im)
@@ -901,21 +900,21 @@ func (s *Server) compressImage(ctx context.Context, im *codepack.Image) (comp *c
 		s.metrics.coalesced.add(1)
 	}
 	if herr != nil {
-		return nil, "", false, herr
+		return wireForm{}, "", false, herr
 	}
-	return c, digest, cached, nil
+	return wf, digest, cached, nil
 }
 
 // fillMiss is the singleflight leader's path: walk the digest's replica
 // set, fall back to compressing locally, and replicate anything new to
 // its replica set.
-func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image) (*codepack.Compressed, bool, *httpError) {
+func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image) (wireForm, bool, *httpError) {
 	// Re-check under the flight: a previous leader may have finished
 	// filling this digest between our cache miss and acquiring the key.
 	// The probe skips miss accounting — this request's miss was already
 	// counted on the way in.
 	_, rcs := trace.Start(ctx, "cache-recheck")
-	c, ok := s.cachedVerified(digest, im, true)
+	wf, ok := s.cachedVerified(digest, im, false)
 	if ok {
 		rcs.SetAttr("outcome", "hit")
 	} else {
@@ -923,19 +922,18 @@ func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image
 	}
 	rcs.End()
 	if ok {
-		return c, true, nil
+		return wf, true, nil
 	}
 	if s.cluster != nil {
 		// The verify callback proves a replica's payload decompresses to
 		// exactly the requested program before Fetch trusts it; a failure
 		// makes Fetch charge that replica's breaker and walk on to the
-		// next one. The verified form is captured so a hit installs it
-		// without re-parsing.
-		var comp *codepack.Compressed
+		// next one. A proven payload is kept as an exact-size copy: the
+		// reply buffer can be up to twice its length.
 		_, owner, outcome := s.cluster.Fetch(ctx, digest, func(owner string, payload []byte) bool {
-			c, err := codepack.UnmarshalCompressed(im.Name, payload)
-			if err == nil && compMatchesImage(c, im) {
-				comp = c
+			st, err := proveWire(payload, im)
+			if err == nil {
+				wf = wireForm{bytes.Clone(payload), st}
 				return true
 			}
 			s.metrics.peerErrors.add(1)
@@ -946,9 +944,9 @@ func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image
 		switch outcome {
 		case peer.FetchHit:
 			s.metrics.peerHits.add(1)
-			s.cache.put(digest, comp)
+			s.cache.put(digest, wf)
 			s.log.Debug("warm-tier hit", "digest", digest, "peer", owner)
-			return comp, true, nil
+			return wf, true, nil
 		case peer.FetchMiss:
 			s.metrics.peerMisses.add(1)
 		case peer.FetchUnavailable:
@@ -959,51 +957,54 @@ func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image
 	comp, err := codepack.CompressContext(cctx, im)
 	cs.End()
 	if err != nil {
-		return nil, false, badRequest("compress: %v", err)
+		return wireForm{}, false, badRequest("compress: %v", err)
 	}
-	s.cache.put(digest, comp)
+	wf = wireForm{comp.Marshal(), comp.Stats()}
+	s.cache.put(digest, wf)
 	if s.cluster != nil {
-		s.cluster.Replicate(ctx, digest, comp.Marshal())
+		s.cluster.Replicate(ctx, digest, wf.wire)
 	}
-	return comp, false, nil
+	return wf, false, nil
 }
 
 // cachedVerified returns the resident entry for digest if it can be
 // trusted for im: verified entries directly, and quarantined replicas
 // only after proving they decompress to exactly im's text (the entry is
-// then confirmed and persisted; a failed proof drops it). isRecheck
-// suppresses duplicate miss accounting for the singleflight re-probe.
-func (s *Server) cachedVerified(digest string, im *codepack.Image, isRecheck bool) (*codepack.Compressed, bool) {
-	lookup := s.cache.getEntry
-	if isRecheck {
-		lookup = s.cache.recheck
-	}
-	comp, verified, ok := lookup(digest)
+// then confirmed and persisted; a failed proof drops it). countMiss is
+// false for the singleflight re-probe, whose miss is already counted.
+func (s *Server) cachedVerified(digest string, im *codepack.Image, countMiss bool) (wireForm, bool) {
+	wf, verified, ok := s.cache.lookup(digest, countMiss)
 	if !ok {
-		return nil, false
+		return wireForm{}, false
 	}
 	if verified {
-		return comp, true
+		return wf, true
 	}
-	if compMatchesImage(comp, im) {
-		s.cache.confirm(digest)
-		return comp, true
+	if _, err := proveWire(wf.wire, im); err != nil {
+		s.metrics.peerErrors.add(1)
+		s.log.Warn("quarantined replica failed verification, dropping",
+			"digest", digest, "err", err)
+		s.cache.drop(digest)
+		return wireForm{}, false
 	}
-	s.metrics.peerErrors.add(1)
-	s.log.Warn("quarantined replica failed verification, dropping", "digest", digest)
-	s.cache.drop(digest)
-	return nil, false
+	s.cache.confirm(digest)
+	return wf, true
 }
 
-// compMatchesImage reports whether comp decompresses word-for-word to
-// im's text section — the poisoning-proof check applied to every byte
-// that did not come from a local compression or the verified store.
-// The decode runs through the pooled buffers: verification output is
-// dead as soon as the comparison finishes, so the fill path never pays
-// a text-sized allocation per peer payload.
-func compMatchesImage(comp *codepack.Compressed, im *codepack.Image) bool {
+// proveWire parses wire as a .cpk payload and proves it decompresses
+// word for word to im's text section, as the hardware would see it. It
+// is the poisoning-proof check applied to every byte that did not come
+// from a local compression or the verified store, and the round trip
+// behind POST /v1/verify. It returns the statistics the parse rebuilt.
+// The decode runs through the pooled buffers: its output is dead as
+// soon as the comparison finishes.
+func proveWire(wire []byte, im *codepack.Image) (codepack.Stats, error) {
+	comp, err := codepack.UnmarshalCompressed(im.Name, wire)
+	if err != nil {
+		return codepack.Stats{}, fmt.Errorf("reload: %w", err)
+	}
 	if comp.TextBase != im.TextBase {
-		return false
+		return codepack.Stats{}, fmt.Errorf("text base mismatch: got %#x want %#x", comp.TextBase, im.TextBase)
 	}
 	bp := getDecodeBuf()
 	defer putDecodeBuf(bp)
@@ -1011,15 +1012,18 @@ func compMatchesImage(comp *codepack.Compressed, im *codepack.Image) bool {
 	if text != nil {
 		*bp = text
 	}
-	if err != nil || len(text) != len(im.Text) {
-		return false
+	if err != nil {
+		return codepack.Stats{}, fmt.Errorf("decompress: %w", err)
+	}
+	if len(text) != len(im.Text) {
+		return codepack.Stats{}, fmt.Errorf("round trip length mismatch: got %d want %d", len(text), len(im.Text))
 	}
 	for i, w := range text {
 		if w != im.Text[i] {
-			return false
+			return codepack.Stats{}, fmt.Errorf("round trip mismatch at instruction %d", i)
 		}
 	}
-	return true
+	return comp.Stats(), nil
 }
 
 // --- endpoint handlers ---------------------------------------------------
@@ -1035,19 +1039,18 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		if herr != nil {
 			return nil, herr
 		}
-		comp, digest, cached, herr := s.compressImage(ctx, im)
+		wf, digest, cached, herr := s.compressImage(ctx, im)
 		if herr != nil {
 			return nil, herr
 		}
-		st := comp.Stats()
 		return CompressResponse{
 			Name:            im.Name,
 			Digest:          digest,
-			OriginalBytes:   st.OriginalBytes,
-			CompressedBytes: st.CompressedBytes(),
-			Ratio:           st.Ratio(),
+			OriginalBytes:   wf.stats.OriginalBytes,
+			CompressedBytes: wf.stats.CompressedBytes(),
+			Ratio:           wf.stats.Ratio(),
 			Cached:          cached,
-			CompressedB64:   base64.StdEncoding.EncodeToString(comp.Marshal()),
+			CompressedB64:   base64.StdEncoding.EncodeToString(wf.wire),
 		}, nil
 	})
 }
@@ -1103,42 +1106,20 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		if herr != nil {
 			return nil, herr
 		}
-		comp, digest, cached, herr := s.compressImage(ctx, im)
+		wf, digest, cached, herr := s.compressImage(ctx, im)
 		if herr != nil {
 			return nil, herr
 		}
-		// Round trip through the serialized form, as the hardware would
-		// see it, and compare word for word.
-		reloaded, err := codepack.UnmarshalCompressed(im.Name, comp.Marshal())
-		if err != nil {
-			return nil, &httpError{code: http.StatusInternalServerError, msg: fmt.Sprintf("reload: %v", err)}
-		}
-		// The round-trip text is compared and discarded, so decode it
-		// into a pooled buffer.
-		bp := getDecodeBuf()
-		defer putDecodeBuf(bp)
-		out, err := reloaded.AppendDecompress((*bp)[:0])
-		if out != nil {
-			*bp = out
-		}
-		if err != nil {
-			return nil, &httpError{code: http.StatusInternalServerError, msg: fmt.Sprintf("decompress: %v", err)}
-		}
-		if len(out) != len(im.Text) {
-			return nil, &httpError{code: http.StatusInternalServerError,
-				msg: fmt.Sprintf("round trip length mismatch: got %d want %d", len(out), len(im.Text))}
-		}
-		for i, word := range out {
-			if word != im.Text[i] {
-				return nil, &httpError{code: http.StatusInternalServerError,
-					msg: fmt.Sprintf("round trip mismatch at instruction %d", i)}
-			}
+		// Round trip the bytes a compress would serve, and compare word
+		// for word.
+		if _, err := proveWire(wf.wire, im); err != nil {
+			return nil, &httpError{code: http.StatusInternalServerError, msg: err.Error()}
 		}
 		return VerifyResponse{
 			OK:           true,
 			Digest:       digest,
 			Instructions: len(im.Text),
-			Ratio:        comp.Stats().Ratio(),
+			Ratio:        wf.stats.Ratio(),
 			Cached:       cached,
 		}, nil
 	})
@@ -1194,10 +1175,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		cached := false
 		if model.Kind != codepack.NativeModel().Kind {
 			// Compressed fetch paths need the compressed image; serve it
-			// from the content-addressed cache.
-			comp, _, hit, herr := s.compressImage(ctx, im)
+			// from the content-addressed cache and parse its bytes back
+			// into the object the fetch model walks.
+			wf, _, hit, herr := s.compressImage(ctx, im)
 			if herr != nil {
 				return nil, herr
+			}
+			comp, err := codepack.UnmarshalCompressed(im.Name, wf.wire)
+			if err != nil {
+				return nil, &httpError{code: http.StatusInternalServerError, msg: fmt.Sprintf("reload: %v", err)}
 			}
 			model.Comp = comp
 			cached = hit

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sync"
 
-	"codepack"
 	"codepack/internal/trace"
 )
 
@@ -21,7 +20,7 @@ type flightGroup struct {
 
 type flight struct {
 	done   chan struct{}
-	comp   *codepack.Compressed
+	wf     wireForm
 	cached bool
 	herr   *httpError
 }
@@ -31,7 +30,7 @@ type flight struct {
 // reports which side this call was. A follower whose ctx ends while
 // waiting abandons the wait (the leader's fill continues and still
 // lands in the cache).
-func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Context) (*codepack.Compressed, bool, *httpError)) (comp *codepack.Compressed, cached bool, follower bool, herr *httpError) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Context) (wireForm, bool, *httpError)) (wf wireForm, cached bool, follower bool, herr *httpError) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flight)
@@ -42,10 +41,10 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Co
 		defer ws.End()
 		select {
 		case <-f.done:
-			return f.comp, true, true, f.herr
+			return f.wf, true, true, f.herr
 		case <-ctx.Done():
 			ws.SetAttr("outcome", "abandoned")
-			return nil, false, true, &httpError{code: http.StatusServiceUnavailable,
+			return wireForm{}, false, true, &httpError{code: http.StatusServiceUnavailable,
 				msg: "request ended while waiting on an in-flight compression"}
 		}
 	}
@@ -53,10 +52,10 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Co
 	g.m[key] = f
 	g.mu.Unlock()
 
-	f.comp, f.cached, f.herr = fn(ctx)
+	f.wf, f.cached, f.herr = fn(ctx)
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(f.done)
-	return f.comp, f.cached, false, f.herr
+	return f.wf, f.cached, false, f.herr
 }

@@ -89,7 +89,10 @@ func TestCompressMissSpanTree(t *testing.T) {
 	if tr.RemoteParent != "" {
 		t.Errorf("standalone request has remote parent %q", tr.RemoteParent)
 	}
-	for _, probe := range []struct{ span, attr string; want any }{
+	for _, probe := range []struct {
+		span, attr string
+		want       any
+	}{
 		{"cache-lookup", "outcome", "miss"},
 		{"cache-recheck", "outcome", "miss"},
 		{"handler", "status", http.StatusOK},
@@ -106,7 +109,7 @@ func TestCompressMissSpanTree(t *testing.T) {
 // the fetcher's per-attempt span.
 func TestSpanPropagatesAcrossPeerFetch(t *testing.T) {
 	sa, sb, urlA, urlB := startPair(t, Config{}, Config{})
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlA)
 
 	// B misses, consults owner A (which also misses), compresses locally.

@@ -58,7 +58,8 @@ type diskStore struct {
 	closed    bool
 	// broken is set when a failed append could not be cut back off the
 	// log: every later append is refused, because replay would stop at
-	// the torn frame and drop it.
+	// the torn frame and drop it. needCompact reports true while it is
+	// set, so the next compaction's log reset can lift it.
 	broken error
 
 	stats storeStats
@@ -84,6 +85,8 @@ type storeStats struct {
 	Compactions     uint64 `json:"compactions"`
 	LogBytes        int64  `json:"log_bytes"`
 	SnapshotBytes   int64  `json:"snapshot_bytes"`
+	// Refusing is true while the store refuses appends (see broken).
+	Refusing bool `json:"refusing"`
 }
 
 // storedEntry is one recovered cache entry: the payload has already been
@@ -314,14 +317,17 @@ func (st *diskStore) rewind(off int64) error {
 }
 
 // needCompact reports whether the log has outgrown the snapshot enough to
-// justify cutting a new one.
+// justify cutting a new one, or the store is refusing appends: a
+// compaction snapshots every live entry and resets the log, which is
+// the one way out of that state short of a restart.
 func (st *diskStore) needCompact() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed || st.logBytes < st.compactMinBytes {
-		return false
+	if st.closed || st.broken != nil {
+		return !st.closed
 	}
-	return float64(st.logBytes) >= st.compactRatio*float64(max(st.snapBytes, 1))
+	return st.logBytes >= st.compactMinBytes &&
+		float64(st.logBytes) >= st.compactRatio*float64(max(st.snapBytes, 1))
 }
 
 // compact atomically replaces the snapshot with the entries returned by
@@ -401,6 +407,7 @@ func (st *diskStore) statsSnapshot() storeStats {
 	s := st.stats
 	s.LogBytes = st.logBytes
 	s.SnapshotBytes = st.snapBytes
+	s.Refusing = st.broken != nil
 	return s
 }
 
